@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import bisect
 
 from .channels import NoiseSpec
-from .game import GameConfig, builtin_strategy, play
+from .game import GameConfig, builtin_strategy, check_gamma, play
 from .linalg import FORMULA_TOL
 
 
@@ -66,62 +66,51 @@ _CASE_FORMULAS: dict[int, Callable[[float, float], float]] = {
 
 @dataclass(frozen=True)
 class CaseSpec:
-    """One named configuration: initial state, both strategies, noise family
-    and the closed-form payoff(noise, gamma)."""
+    """One named configuration: the tokens of the CLI flags --state,
+    --alice, --bob and --channel ("se" or "gp") that the case stands for.
+    Its closed-form payoff(noise, gamma) is ``_CASE_FORMULAS[case]``."""
 
-    id: int
     initial: str
     alice: str
     bob: str
-    channel_kind: str  # "se" or "gp"
-    formula: Callable[[float, float], float]
+    channel_kind: str
 
 
 CASES: dict[int, CaseSpec] = {
-    1: CaseSpec(1, "psi1", "id", "id", "se", _CASE_FORMULAS[1]),
-    2: CaseSpec(2, "psi1", "id", "m1", "se", _CASE_FORMULAS[2]),
-    3: CaseSpec(3, "psi2", "id", "id", "se", _CASE_FORMULAS[3]),
-    4: CaseSpec(4, "psi2", "h", "id", "se", _CASE_FORMULAS[4]),
+    1: CaseSpec("psi1", "id", "id", "se"),
+    2: CaseSpec("psi1", "id", "m1", "se"),
+    3: CaseSpec("psi2", "id", "id", "se"),
+    4: CaseSpec("psi2", "h", "id", "se"),
     # case 5 applies equally with bob = id, m1 or m2; id is canonical
-    5: CaseSpec(5, "psi1", "id", "id", "gp", _CASE_FORMULAS[5]),
-    6: CaseSpec(6, "psi2", "id", "id", "gp", _CASE_FORMULAS[6]),
-    7: CaseSpec(7, "psi2", "h", "id", "gp", _CASE_FORMULAS[7]),
+    5: CaseSpec("psi1", "id", "id", "gp"),
+    6: CaseSpec("psi2", "id", "id", "gp"),
+    7: CaseSpec("psi2", "h", "id", "gp"),
 }
 
 
-def _check_case_domain(case: int, noise: float, gamma: float) -> CaseSpec:
+def case_spec(case: int) -> CaseSpec:
+    """The named case; ValueError outside 1..7."""
     if case not in CASES:
         raise ValueError(f"case {case} out of range 1..7")
-    spec = CASES[case]
-    if spec.channel_kind == "se":
-        if not (math.isfinite(noise) and noise >= 0):
-            raise ValueError(f"case {case} takes a finite time t >= 0, got {noise}")
-    elif not 0.0 <= noise <= 1.0:
-        raise ValueError(f"case {case} takes a probability p in [0, 1], got {noise}")
-    if not 0.0 <= gamma <= math.pi / 2 + 1e-12:
-        raise ValueError(f"gamma={gamma} outside [0, pi/2]")
-    return spec
+    return CASES[case]
 
 
 def closed_form_payoff(case: int, noise: float, gamma: float) -> float:
     """Evaluate the case's closed-form payoff."""
-    spec = _check_case_domain(case, noise, gamma)
-    return spec.formula(noise, gamma)
+    NoiseSpec.of(case_spec(case).channel_kind, noise)  # domain check
+    check_gamma(gamma)
+    return _CASE_FORMULAS[case](noise, gamma)
 
 
 def case_config(case: int, noise: float, gamma: float, bob: str | None = None) -> GameConfig:
     """The GameConfig a case denotes; ``bob`` overrides the canonical Bob
     move (case 5 accepts id, m1 or m2 interchangeably)."""
-    spec = _check_case_domain(case, noise, gamma)
-    if spec.channel_kind == "se":
-        noise_spec = NoiseSpec.spontaneous_emission(noise)
-    else:
-        noise_spec = NoiseSpec.generalized_pauli(noise)
+    spec = case_spec(case)
     return GameConfig(
         initial=spec.initial,
         alice=builtin_strategy(spec.alice),
         bob=builtin_strategy(bob if bob is not None else spec.bob),
-        noise=noise_spec,
+        noise=NoiseSpec.of(spec.channel_kind, noise),
         gamma=gamma,
     )
 
@@ -185,8 +174,8 @@ def optimal_gamma(c1: float, tol: float = 1e-12) -> tuple[float, str]:
 
 
 def case_mixing_coefficient(case: int, noise: float) -> float:
-    """c1 of the case at the given noise, extracted from simulation."""
-    return gamma_coefficients(lambda g: simulate_case(case, noise, g))[1]
+    """c1 of the case at the given noise, from one simulated round."""
+    return play(case_config(case, noise, 0.0)).mixing_coefficient
 
 
 def threshold(case: int, lo: float, hi: float) -> float:
@@ -204,7 +193,8 @@ def threshold(case: int, lo: float, hi: float) -> float:
             f"case {case}: no sign change of the mixing coefficient on "
             f"[{lo}, {hi}] (c1({lo})={f_lo:.3e}, c1({hi})={f_hi:.3e})"
         )
-    return float(bisect(f, lo, hi, xtol=1e-10))
+    # 1100 halvings shrink any finite bracket below xtol (scipy stops at 100)
+    return float(bisect(f, lo, hi, xtol=1e-10, maxiter=1100))
 
 
 @dataclass(frozen=True)
@@ -260,16 +250,18 @@ class VerifyReport:
     points: int
 
 
+# Points on each axis of verify_case's default grid.
+DEFAULT_GRID_POINTS = 21
+
+
 def default_noise_grid(case: int) -> np.ndarray:
-    """21 evenly spaced noise values over the case's domain."""
-    if case not in CASES:
-        raise ValueError(f"case {case} out of range 1..7")
-    upper = 3.0 if CASES[case].channel_kind == "se" else 1.0
-    return np.linspace(0.0, upper, 21)
+    """Evenly spaced noise values over the case's domain."""
+    upper = 3.0 if case_spec(case).channel_kind == "se" else 1.0
+    return np.linspace(0.0, upper, DEFAULT_GRID_POINTS)
 
 
 def default_gamma_grid() -> np.ndarray:
-    return np.linspace(0.0, math.pi / 2, 21)
+    return np.linspace(0.0, math.pi / 2, DEFAULT_GRID_POINTS)
 
 
 def verify_case(

@@ -60,6 +60,18 @@ class KrausChannel:
         return float(np.abs(acc - np.eye(self.dim)).max())
 
 
+def _check_params(kind: str, value: float, a1: float = 1.0, a2: float = 1.0) -> None:
+    """Domain of a family's parameters; the comparisons are written so NaN
+    fails them too."""
+    if kind == "se":
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"time t={value} must be non-negative")
+        if not (0 < a1 < math.inf and 0 < a2 < math.inf):
+            raise ValueError("Einstein coefficients must be positive and finite")
+    elif kind == "gp" and not 0.0 <= value <= 1.0:
+        raise ValueError(f"error probability p={value} outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Which noise family to apply, and its parameters.
@@ -78,14 +90,18 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("none", "se", "gp"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        # comparisons are written so NaN parameters fail them too
-        if self.kind == "se":
-            if not (math.isfinite(self.t) and self.t >= 0):
-                raise ValueError(f"time t={self.t} must be non-negative")
-            if not (self.a1 > 0 and self.a2 > 0):
-                raise ValueError("Einstein coefficients must be positive")
-        if self.kind == "gp" and not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"error probability p={self.p} outside [0, 1]")
+        _check_params(self.kind, self.t if self.kind == "se" else self.p, self.a1, self.a2)
+
+    @classmethod
+    def of(cls, kind: str, value: float | None = None,
+           a1: float = 1.0, a2: float = 1.0) -> "NoiseSpec":
+        """Family ``kind`` at noise ``value``: the time t for "se", the error
+        probability p for "gp"; "none" ignores it, "gp" ignores a1 and a2."""
+        if kind == "se":
+            return cls(kind="se", t=value, a1=a1, a2=a2)
+        if kind == "gp":
+            return cls(kind="gp", p=value)
+        return cls(kind=kind)
 
     @classmethod
     def none(cls) -> "NoiseSpec":
@@ -106,10 +122,7 @@ def se_single(t: float, a1: float = 1.0, a2: float = 1.0) -> KrausChannel:
     Kraus elements: K0 = diag(1, e^(-t*a1/2), e^(-t*a2/2)),
     K1 = sqrt(1 - e^(-t*a1)) |0><1|, K2 = sqrt(1 - e^(-t*a2)) |0><2|.
     """
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"time t={t} must be non-negative")
-    if not (a1 > 0 and a2 > 0):
-        raise ValueError("Einstein coefficients must be positive")
+    _check_params("se", t, a1, a2)
     k0 = np.diag([1.0, math.exp(-t * a1 / 2), math.exp(-t * a2 / 2)]).astype(complex)
     k1 = np.zeros((3, 3), dtype=complex)
     k1[0, 1] = math.sqrt(1.0 - math.exp(-t * a1))
@@ -125,8 +138,7 @@ def gp_single(p: float) -> KrausChannel:
     order, with P_00 = 1 - 8p/9 and P_ij = p/9 otherwise.  Zero-weight
     elements are kept so the list shape is uniform.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"error probability p={p} outside [0, 1]")
+    _check_params("gp", p)
     shift_powers = [np.linalg.matrix_power(SHIFT, i) for i in range(3)]
     clock_powers = [np.linalg.matrix_power(CLOCK, j) for j in range(3)]
     elements = []

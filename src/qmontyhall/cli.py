@@ -5,8 +5,9 @@ out), ``verify`` (simulation vs closed forms), ``threshold`` (strategy
 crossover by bisection) and ``validate-channel`` (Kraus completeness).
 
 Exit codes: 0 success, 1 verification/validation failure, 2 bad flags or
-unparseable input file, 3 non-unitary strategy (or non-normalised state)
-file, 4 parameter outside its domain, 5 no strategy crossover in range.
+range, grid over MAX_GRID_POINTS, unparseable input file or unwritable
+--out, 3 non-unitary strategy (or non-normalised state) file, 4 parameter
+outside its domain, 5 no strategy crossover in range.
 All diagnostics go to stderr; stdout carries only the command's output.
 """
 
@@ -16,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,11 +34,31 @@ EXIT_NOT_UNITARY = 3
 EXIT_DOMAIN = 4
 EXIT_NO_CROSSOVER = 5
 
+# Most (noise, gamma) points one sweep or verify run may ask for; larger
+# grids are refused with exit 2 before any grid is built.
+MAX_GRID_POINTS = 1_000_000
+
 
 class CliError(Exception):
     def __init__(self, exit_code: int, message: str):
         super().__init__(message)
         self.exit_code = exit_code
+
+
+@contextmanager
+def _domain():
+    """Report a ValueError in the block (a parameter out of its domain) as exit 4."""
+    try:
+        yield
+    except ValueError as err:
+        raise CliError(EXIT_DOMAIN, str(err)) from None
+
+
+def _print_json(doc: dict) -> None:
+    """Print strict JSON; a non-finite number is a domain error, not NaN."""
+    with _domain():
+        text = json.dumps(doc, allow_nan=False)
+    print(text)
 
 
 def _fmt(x: float) -> str:
@@ -67,6 +88,8 @@ def _parse_range(text: str) -> tuple[float, float, float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"non-numeric range {text!r}") from None
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise argparse.ArgumentTypeError(f"range {text!r} must be finite")
     if step <= 0:
         raise argparse.ArgumentTypeError(f"range step must be positive in {text!r}")
     if hi < lo:
@@ -74,17 +97,41 @@ def _parse_range(text: str) -> tuple[float, float, float]:
     return lo, hi, step
 
 
-def _range_values(bounds: tuple[float, float, float]) -> list[float]:
-    """Grid LO, LO+STEP, ...; HI is included when (HI-LO) is an integer
-    multiple of STEP to within 1e-12."""
+def _range_shape(bounds: tuple[float, float, float]) -> tuple[int, bool]:
+    """(number of grid values, whether HI is one of them) without building
+    the grid.  HI is included when (HI-LO) is an integer multiple of STEP to
+    within 1e-12; a span of MAX_GRID_POINTS steps or more counts as
+    MAX_GRID_POINTS + 1 values."""
     lo, hi, step = bounds
-    k = round((hi - lo) / step)
+    span = (hi - lo) / step
+    if not span < MAX_GRID_POINTS:
+        return MAX_GRID_POINTS + 1, False
+    k = round(span)
     if abs((hi - lo) - k * step) <= 1e-12:
-        values = [lo + i * step for i in range(int(k) + 1)]
+        return k + 1, True
+    return math.floor(span) + 1, False
+
+
+def _range_values(bounds: tuple[float, float, float]) -> list[float]:
+    """Grid LO, LO+STEP, ..., ending exactly on HI when HI is included."""
+    lo, hi, step = bounds
+    count, inclusive = _range_shape(bounds)
+    values = [lo + i * step for i in range(count)]
+    if inclusive:
         values[-1] = hi
-    else:
-        values = [lo + i * step for i in range(int(math.floor((hi - lo) / step)) + 1)]
     return values
+
+
+def _grid_values(args) -> list[list[float] | None]:
+    """The --noise-range and --gamma-range grids (None where a range is
+    absent and verify's default axis applies), refused before they are built
+    when they hold more than MAX_GRID_POINTS points together."""
+    ranges = (args.noise_range, args.gamma_range)
+    points = math.prod(_range_shape(r)[0] if r else analysis.DEFAULT_GRID_POINTS
+                       for r in ranges)
+    if points > MAX_GRID_POINTS:
+        raise CliError(EXIT_USAGE, f"grid has more than {MAX_GRID_POINTS} points")
+    return [_range_values(r) if r else None for r in ranges]
 
 
 def parse_strategy_file(path: str) -> StrategyUnitary:
@@ -122,10 +169,8 @@ def _complex_array_from_file(path: str, shape: tuple[int, ...]) -> np.ndarray:
     except (TypeError, ValueError):
         raise CliError(EXIT_USAGE, f"{path}: expected nested arrays of numbers") from None
     if arr.shape != shape + (2,):
-        raise CliError(
-            EXIT_USAGE,
-            f"{path}: expected shape {shape} of [re, im] pairs, got {arr.shape}",
-        )
+        raise CliError(EXIT_USAGE,
+                       f"{path}: expected shape {shape} of [re, im] pairs, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise CliError(EXIT_USAGE, f"{path}: entries must be finite")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -137,166 +182,89 @@ def _resolve_strategy(token: str) -> StrategyUnitary:
     return parse_strategy_file(token)
 
 
-@dataclass(frozen=True)
-class _ResolvedConfig:
-    """Explicit-flag configuration with files parsed, noise still free."""
-
-    initial: "str | np.ndarray"
-    alice: StrategyUnitary
-    bob: StrategyUnitary
-    channel: str
-    a1: float
-    a2: float
-    tokens: dict
-
-    def noise_spec(self, noise: float | None) -> NoiseSpec:
-        if self.channel == "none":
-            if noise is not None:
-                raise CliError(EXIT_USAGE, "--noise is meaningless with --channel none")
-            return NoiseSpec.none()
-        if noise is None:
-            raise CliError(EXIT_USAGE, f"--noise is required with --channel {self.channel}")
-        try:
-            if self.channel == "se":
-                return NoiseSpec.spontaneous_emission(noise, self.a1, self.a2)
-            return NoiseSpec.generalized_pauli(noise)
-        except ValueError as err:
-            raise CliError(EXIT_DOMAIN, str(err)) from None
-
-    def game_config(self, noise: float | None, gamma: float) -> GameConfig:
-        spec = self.noise_spec(noise)
-        try:
-            return GameConfig(
-                initial=self.initial, alice=self.alice, bob=self.bob,
-                noise=spec, gamma=gamma,
-            )
-        except ValueError as err:
-            raise CliError(EXIT_DOMAIN, str(err)) from None
-
-
-def _resolve_explicit(args) -> _ResolvedConfig:
-    if args.state is None:
-        raise CliError(EXIT_USAGE, "either --case or --state is required")
-    if args.state in ("psi1", "psi2"):
-        initial = args.state
-    else:
-        initial = parse_state_file(args.state)
-    tokens = {
-        "state": args.state,
-        "alice": args.alice,
-        "bob": args.bob,
-        "channel": args.channel,
-    }
-    return _ResolvedConfig(
-        initial=initial,
-        alice=_resolve_strategy(args.alice),
-        bob=_resolve_strategy(args.bob),
-        channel=args.channel,
-        a1=args.a1,
-        a2=args.a2,
-        tokens=tokens,
-    )
-
-
-def _forbid_explicit_flags_with_case(args, parser: argparse.ArgumentParser) -> None:
-    clashes = [
-        name
-        for name, value, default in (
-            ("--state", args.state, None),
-            ("--alice", args.alice, "id"),
-            ("--bob", args.bob, "id"),
-            ("--channel", args.channel, "none"),
-            ("--a1", args.a1, 1.0),
-            ("--a2", args.a2, 1.0),
-        )
-        if value != default
-    ]
+def _apply_case(args, parser: argparse.ArgumentParser) -> None:
+    """``--case k`` is shorthand for case k's --state/--alice/--bob/--channel."""
+    if args.case is None:
+        return
+    defaults = {"state": None, "alice": "id", "bob": "id", "channel": "none",
+                "a1": 1.0, "a2": 1.0}
+    clashes = [f"--{name}" for name, default in defaults.items()
+               if getattr(args, name) != default]
     if clashes:
         parser.error(f"--case cannot be combined with {', '.join(clashes)}")
+    with _domain():
+        spec = analysis.case_spec(args.case)
+    args.state, args.alice, args.bob, args.channel = (
+        spec.initial, spec.alice, spec.bob, spec.channel_kind)
 
 
-def _require_known_case(case: int) -> analysis.CaseSpec:
-    spec = analysis.CASES.get(case)
-    if spec is None:
-        raise CliError(EXIT_DOMAIN, f"case {case} out of range 1..7")
-    return spec
+def _config_builder(args) -> Callable[[float | None, float], GameConfig]:
+    """Parse the configuration flags once; the result builds the GameConfig
+    at a given (noise, gamma)."""
+    if args.state is None:
+        raise CliError(EXIT_USAGE, "either --case or --state is required")
+    initial = args.state if args.state in ("psi1", "psi2") else parse_state_file(args.state)
+    alice, bob = _resolve_strategy(args.alice), _resolve_strategy(args.bob)
+
+    def build(noise: float | None, gamma: float) -> GameConfig:
+        with _domain():
+            noise_spec = NoiseSpec.of(args.channel, noise, args.a1, args.a2)
+            return GameConfig(initial, alice, bob, noise_spec, gamma)
+
+    return build
 
 
 def _cmd_payoff(args, parser) -> int:
-    gamma = args.gamma
-    if args.case is not None:
-        _forbid_explicit_flags_with_case(args, parser)
-        spec = _require_known_case(args.case)
-        if args.noise is None:
+    _apply_case(args, parser)
+    build = _config_builder(args)
+    if args.channel == "none" and args.noise is not None:
+        raise CliError(EXIT_USAGE, "--noise is meaningless with --channel none")
+    if args.channel != "none" and args.noise is None:
+        if args.case is not None:
             raise CliError(EXIT_USAGE, "--case requires --noise")
-        try:
-            cfg = analysis.case_config(args.case, args.noise, gamma)
-        except ValueError as err:
-            raise CliError(EXIT_DOMAIN, str(err)) from None
-        payoff_of_gamma = lambda g: analysis.simulate_case(args.case, args.noise, g)
-        echo = {
-            "case": spec.id,
-            "state": spec.initial,
-            "alice": spec.alice,
-            "bob": spec.bob,
-            "channel": spec.channel_kind,
-        }
-    else:
-        resolved = _resolve_explicit(args)
-        cfg = resolved.game_config(args.noise, gamma)
-        payoff_of_gamma = lambda g: play(resolved.game_config(args.noise, g)).payoff
-        echo = dict(resolved.tokens)
-        if resolved.channel == "se":
-            echo["a1"] = _round12(args.a1)
-            echo["a2"] = _round12(args.a2)
+        raise CliError(EXIT_USAGE, f"--noise is required with --channel {args.channel}")
+    outcome = play(build(args.noise, args.gamma))
+    echo = {} if args.case is None else {"case": args.case}
+    echo.update(state=args.state, alice=args.alice, bob=args.bob, channel=args.channel)
+    if args.channel == "se" and args.case is None:
+        echo.update(a1=_round12(args.a1), a2=_round12(args.a2))
     if args.noise is not None:
         echo["noise"] = _round12(args.noise)
-    echo["gamma"] = _round12(gamma)
-
-    outcome = play(cfg)
-    _, c1 = analysis.gamma_coefficients(payoff_of_gamma)
-    gamma_star, label = analysis.optimal_gamma(c1)
-    doc = {
+    echo["gamma"] = _round12(args.gamma)
+    gamma_star, label = analysis.optimal_gamma(outcome.mixing_coefficient)
+    _print_json({
         "payoff": _round12(outcome.payoff),
         "p_switch": _round12(outcome.p_switch),
         "p_not_switch": _round12(outcome.p_not_switch),
         "optimal_gamma": _round12(gamma_star),
         "optimal_label": label,
         "config": echo,
-    }
-    print(json.dumps(doc))
+    })
     return EXIT_OK
 
 
-def _sweep_payoff_fn(args, parser) -> Callable[[float, float], float]:
+def _cmd_sweep(args, parser) -> int:
     if args.noise is not None:
         raise CliError(EXIT_USAGE, "--noise conflicts with --noise-range")
-    if args.case is not None:
-        _forbid_explicit_flags_with_case(args, parser)
-        _require_known_case(args.case)
-        return lambda x, g: analysis.simulate_case(args.case, x, g)
-    resolved = _resolve_explicit(args)
-    if resolved.channel == "none":
+    _apply_case(args, parser)
+    build = _config_builder(args)
+    if args.channel == "none":
         raise CliError(EXIT_USAGE, "sweep needs --channel se or gp for the noise axis")
-    return lambda x, g: play(resolved.game_config(x, g)).payoff
-
-
-def _cmd_sweep(args, parser) -> int:
-    payoff = _sweep_payoff_fn(args, parser)
-    noise_values = _range_values(args.noise_range)
-    gamma_values = _range_values(args.gamma_range)
-    try:
-        table = analysis.sweep(payoff, noise_values, gamma_values)
-    except ValueError as err:
-        raise CliError(EXIT_DOMAIN, str(err)) from None
+    noise_values, gamma_values = _grid_values(args)
+    with _domain():
+        table = analysis.sweep(lambda x, g: play(build(x, g)).payoff,
+                               noise_values, gamma_values)
     lines = ["noise,gamma,payoff"]
     lines.extend(f"{_fmt(x)},{_fmt(g)},{_fmt(p)}" for x, g, p in table.rows)
     text = "\n".join(lines) + "\n"
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as err:
+        raise CliError(EXIT_USAGE, f"cannot write {args.out}: {err}") from None
     return EXIT_OK
 
 
@@ -305,19 +273,14 @@ def _cmd_verify(args, parser) -> int:
         cases = sorted(analysis.CASES)
     else:
         try:
-            case = int(args.case)
+            cases = [int(args.case)]
         except ValueError:
             parser.error(f"--case must be 1..7 or 'all', got {args.case!r}")
-        _require_known_case(case)
-        cases = [case]
-    noise_values = _range_values(args.noise_range) if args.noise_range else None
-    gamma_values = _range_values(args.gamma_range) if args.gamma_range else None
+    noise_values, gamma_values = _grid_values(args)
     all_passed = True
     for case in cases:
-        try:
+        with _domain():
             report = analysis.verify_case(case, noise_values, gamma_values)
-        except ValueError as err:
-            raise CliError(EXIT_DOMAIN, str(err)) from None
         status = "pass" if report.passed else "fail"
         print(f"case {case}: max_err={report.max_abs_error:.3e} {status}")
         all_passed = all_passed and report.passed
@@ -328,33 +291,24 @@ _THRESHOLD_BRACKETS = {"se": (0.01, 3.0), "gp": (0.01, 0.99)}
 
 
 def _cmd_threshold(args, parser) -> int:
-    spec = _require_known_case(args.case)
-    default_lo, default_hi = _THRESHOLD_BRACKETS[spec.channel_kind]
-    lo = args.lo if args.lo is not None else default_lo
-    hi = args.hi if args.hi is not None else default_hi
-    try:
-        value = analysis.threshold(args.case, lo, hi)
-    except analysis.NoSignChangeError as err:
-        raise CliError(EXIT_NO_CROSSOVER, str(err)) from None
-    except ValueError as err:
-        raise CliError(EXIT_DOMAIN, str(err)) from None
-    print(json.dumps({"case": args.case, "threshold": _round12(value)}))
+    with _domain():
+        kind = analysis.case_spec(args.case).channel_kind
+        default_lo, default_hi = _THRESHOLD_BRACKETS[kind]
+        lo = args.lo if args.lo is not None else default_lo
+        hi = args.hi if args.hi is not None else default_hi
+        try:
+            value = analysis.threshold(args.case, lo, hi)
+        except analysis.NoSignChangeError as err:
+            raise CliError(EXIT_NO_CROSSOVER, str(err)) from None
+    _print_json({"case": args.case, "threshold": _round12(value)})
     return EXIT_OK
 
 
 def _cmd_validate_channel(args, parser) -> int:
-    try:
-        if args.channel == "se":
-            spec = NoiseSpec.spontaneous_emission(args.noise, args.a1, args.a2)
-        else:
-            spec = NoiseSpec.generalized_pauli(args.noise)
-    except ValueError as err:
-        raise CliError(EXIT_DOMAIN, str(err)) from None
-    single = single_channel(spec)
-    reports = [
-        ("single-qutrit", validate_cptp(single)),
-        ("extended", validate_cptp(extend_three(single))),
-    ]
+    with _domain():
+        single = single_channel(NoiseSpec.of(args.channel, args.noise, args.a1, args.a2))
+    reports = [("single-qutrit", validate_cptp(single)),
+               ("extended", validate_cptp(extend_three(single)))]
     ok = True
     for scope, report in reports:
         status = "pass" if report.passed else "fail"
@@ -433,14 +387,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_OK
-    try:
         return args.handler(args, parser)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
-    except SystemExit as exc:  # parser.error inside a handler
+    except SystemExit as exc:  # from argparse, also via parser.error in a handler
         return int(exc.code) if exc.code is not None else EXIT_OK
 
 

@@ -153,6 +153,12 @@ def win_projector() -> np.ndarray:
     return _frozen(m)
 
 
+def check_gamma(gamma: float) -> None:
+    """Raise ValueError unless the mixing angle lies in [0, pi/2] (NaN fails)."""
+    if not 0.0 <= gamma <= math.pi / 2 + 1e-12:
+        raise ValueError(f"gamma={gamma} outside [0, pi/2]")
+
+
 @dataclass(frozen=True)
 class GameConfig:
     """Everything that determines one round: initial state ("psi1", "psi2"
@@ -166,8 +172,7 @@ class GameConfig:
     gamma: float
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= math.pi / 2 + 1e-12:
-            raise ValueError(f"gamma={self.gamma} outside [0, pi/2]")
+        check_gamma(self.gamma)
         if isinstance(self.initial, str):
             if self.initial not in ("psi1", "psi2"):
                 raise ValueError(f"unknown initial state {self.initial!r}")
@@ -195,6 +200,11 @@ class GameOutcome:
     p_switch: float
     p_not_switch: float
     gamma: float
+
+    @property
+    def mixing_coefficient(self) -> float:
+        """c1 of payoff = c0 + c1*cos(2*gamma): (p_switch - p_not_switch) / 2."""
+        return (self.p_switch - self.p_not_switch) / 2.0
 
 
 def evolve(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -44,14 +44,6 @@ def dagger(a) -> np.ndarray:
     return _as_matrix(a).conj().T
 
 
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a, b = _as_matrix(a), _as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def trace(a) -> complex:
     """Sum of the diagonal of a square matrix."""
     a = _as_matrix(a)
@@ -80,15 +72,6 @@ def unitarity_deviation(a) -> float:
 def is_unitary(a, tol: float = STRUCTURAL_TOL) -> bool:
     a = _as_matrix(a)
     return a.shape[0] == a.shape[1] and unitarity_deviation(a) <= tol
-
-
-def min_eigenvalue_hermitian(a) -> float:
-    """Smallest eigenvalue of a Hermitian matrix (Hermitian within 1e-8)."""
-    a = _as_matrix(a)
-    dev = hermiticity_deviation(a)
-    if dev > 1e-8:
-        raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
-    return float(np.linalg.eigvalsh(a)[0])
 
 
 def basis_ket(o: int, b: int, a: int) -> np.ndarray:
@@ -135,14 +118,3 @@ def is_density_matrix(
     herm, trace_dev, min_eig = density_deviations(rho)
     return herm <= herm_tol and trace_dev <= trace_tol and min_eig >= eig_floor
 
-
-def assert_density_matrix(rho, **kwargs) -> None:
-    """Raise ValueError unless ``rho`` passes all density-matrix invariants."""
-    if not is_density_matrix(rho, **kwargs):
-        herm, trace_dev, min_eig = density_deviations(rho)
-        raise ValueError(
-            "not a valid density matrix: "
-            f"hermiticity deviation {herm:.3e}, "
-            f"trace deviation {trace_dev:.3e}, "
-            f"min eigenvalue {min_eig:.3e}"
-        )

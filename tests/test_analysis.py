@@ -120,6 +120,16 @@ class TestGammaCoefficients:
                 predicted, abs=1e-10
             )
 
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_single_play_coefficient_matches_fit(self, case, rng):
+        # c1 = (p_switch - p_not_switch) / 2 from one round equals the
+        # coefficient fitted from three rounds at different gamma
+        for noise in rng.uniform(0.0, 3.0 if CASES[case].channel_kind == "se" else 1.0, 3):
+            fitted = gamma_coefficients(lambda g: simulate_case(case, float(noise), g))[1]
+            assert case_mixing_coefficient(case, float(noise)) == pytest.approx(
+                fitted, abs=1e-12
+            )
+
 
 class TestOptimalGamma:
     def test_low_noise_favours_switching(self):

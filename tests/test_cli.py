@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qmontyhall.analysis import CASES
-from qmontyhall.cli import _range_values, main, parse_strategy_file
+from qmontyhall.cli import MAX_GRID_POINTS, _range_values, main, parse_strategy_file
 from qmontyhall.game import builtin_strategy
 
 IDENTITY_FILE = [[[1, 0], [0, 0], [0, 0]],
@@ -82,6 +82,12 @@ class TestPayoff:
             for key in ("payoff", "p_switch", "p_not_switch",
                         "optimal_gamma", "optimal_label"):
                 assert left[key] == right[key], (case, noise, gamma, key)
+        grid = ("--noise-range", f"0:{upper}:{upper / 4}", "--gamma-range", "0:1.5:0.5")
+        by_case = run_cli(capsys, "sweep", "--case", str(case), *grid)
+        explicit = run_cli(capsys, "sweep", "--state", spec.initial,
+                           "--alice", spec.alice, "--bob", spec.bob,
+                           "--channel", spec.channel_kind, *grid)
+        assert by_case[0] == 0 and by_case == explicit
 
     def test_case_requires_noise(self, capsys):
         code, out, err = run_cli(capsys, "payoff", "--case", "1", "--gamma", "0")
@@ -115,6 +121,13 @@ class TestPayoff:
     def test_unknown_case(self, capsys):
         code, _, _ = run_cli(capsys, "payoff", "--case", "9", "--noise", "0")
         assert code == 4
+
+    @pytest.mark.parametrize("flag", ["--a1", "--a2"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_einstein_coefficient(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "payoff", "--state", "psi1", "--channel", "se",
+                                 flag, value, "--noise", "0")
+        assert code == 4 and out == "" and "finite" in err
 
 
 class TestStrategyFiles:
@@ -274,6 +287,26 @@ class TestSweep:
                                "--noise-range", "0:1", "--gamma-range", "0:0:1")
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("text", ["0:nan:0.1", "0:inf:0.1", "0:1:nan", "-inf:0:1"])
+    def test_non_finite_range(self, capsys, text):
+        code, out, err = run_cli(capsys, "sweep", "--case", "1",
+                                 f"--noise-range={text}", "--gamma-range", "0:1:0.5")
+        assert code == 2 and out == "" and "finite" in err
+
+    @pytest.mark.parametrize("noise,gamma", [("0:1e9:1e-3", "0:0:1"),
+                                             ("0:3:1e-3", "0:1.5:1e-3"),
+                                             ("-1e308:1e308:1", "0:0:1")])
+    def test_grid_cap(self, capsys, noise, gamma):
+        code, out, err = run_cli(capsys, "sweep", "--case", "1",
+                                 f"--noise-range={noise}", "--gamma-range", gamma)
+        assert code == 2 and out == "" and str(MAX_GRID_POINTS) in err
+
+    def test_out_directory_missing(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "table.csv"
+        code, out, err = run_cli(capsys, "sweep", "--case", "1", "--noise-range", "0:1:1",
+                                 "--gamma-range", "0:0:1", "--out", str(target))
+        assert code == 2 and out == "" and "cannot write" in err
+
 
 class TestVerify:
     def test_all_cases(self, capsys):
@@ -294,6 +327,11 @@ class TestVerify:
     def test_bad_case_token(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--case", "quick")
         assert code == 2 and out == ""
+
+    def test_grid_cap(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--case", "1",
+                                 "--noise-range", "0:1e9:1e-3")
+        assert code == 2 and out == "" and str(MAX_GRID_POINTS) in err
 
     def test_broken_operator_is_caught(self, capsys, monkeypatch):
         # cripple the opening rule for b == a (leave the register alone
@@ -332,6 +370,12 @@ class TestThreshold:
         )
         assert code == 0
 
+    def test_wide_bracket(self, capsys):
+        code, out, _ = run_cli(capsys, "threshold", "--case", "1",
+                               "--lo", "0.01", "--hi", "1e40")
+        assert code == 0
+        assert json.loads(out)["threshold"] == pytest.approx(math.log(2.0), abs=1e-8)
+
     @pytest.mark.parametrize("case", [5, 7])
     def test_no_crossover(self, capsys, case):
         code, out, err = run_cli(capsys, "threshold", "--case", str(case))
@@ -358,6 +402,11 @@ class TestValidateChannel:
         code, out, err = run_cli(capsys, "validate-channel", "--channel", "gp",
                                  "--noise", "1.5")
         assert code == 4 and out == "" and err != ""
+
+    def test_non_finite_einstein_coefficient(self, capsys):
+        code, out, err = run_cli(capsys, "validate-channel", "--channel", "se",
+                                 "--noise", "1", "--a1", "inf")
+        assert code == 4 and out == "" and "finite" in err
 
 
 class TestEntryPoint:

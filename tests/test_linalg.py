@@ -11,8 +11,6 @@ from qmontyhall.linalg import (
     is_density_matrix,
     is_unitary,
     kron,
-    mat_mul,
-    min_eigenvalue_hermitian,
     trace,
 )
 
@@ -60,19 +58,15 @@ class TestDagger:
 class TestMatMul:
     def test_identity(self):
         o = game.open_operator()
-        np.testing.assert_array_equal(mat_mul(np.eye(STATE_DIM), o), o)
+        np.testing.assert_array_equal(np.eye(STATE_DIM) @ o, o)
 
     def test_switch_is_involution(self):
         s = game.switch_operator()
-        np.testing.assert_array_equal(mat_mul(s, s), np.eye(STATE_DIM))
+        np.testing.assert_array_equal(s @ s, np.eye(STATE_DIM))
 
     def test_shift_cubes_to_identity(self):
         x = channels.SHIFT
-        np.testing.assert_array_equal(mat_mul(x, mat_mul(x, x)), np.eye(3))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            mat_mul(np.eye(3), np.eye(4))
+        np.testing.assert_array_equal(x @ x @ x, np.eye(3))
 
 
 class TestTrace:
@@ -92,7 +86,7 @@ class TestTrace:
         radius = rng.uniform(0, 1, size=(2, STATE_DIM, STATE_DIM))
         angle = rng.uniform(0, 2 * np.pi, size=(2, STATE_DIM, STATE_DIM))
         a, b = radius * np.exp(1j * angle)
-        assert trace(mat_mul(a, b)) == pytest.approx(trace(mat_mul(b, a)), abs=1e-10)
+        assert trace(a @ b) == pytest.approx(trace(b @ a), abs=1e-10)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="non-square"):
@@ -109,24 +103,6 @@ class TestIsUnitary:
     def test_single_kraus_element_is_not(self):
         k1 = channels.se_single(1.0).elements[1]
         assert not is_unitary(k1, 1e-10)
-
-
-class TestMinEigenvalue:
-    def test_identity(self):
-        assert min_eigenvalue_hermitian(np.eye(3)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_singular_diagonal(self):
-        assert min_eigenvalue_hermitian(np.diag([0.5, 0.5, 0.0])) == pytest.approx(
-            0.0, abs=1e-12
-        )
-
-    def test_rank_one_projector(self):
-        rho = density_from_pure(game.initial_state("psi2"))
-        assert min_eigenvalue_hermitian(rho) == pytest.approx(0.0, abs=1e-12)
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            min_eigenvalue_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestBasisKet:
@@ -160,7 +136,7 @@ class TestDensityFromPure:
         v = rng.normal(size=STATE_DIM) + 1j * rng.normal(size=STATE_DIM)
         v /= np.linalg.norm(v)
         rho = density_from_pure(v)
-        assert trace(mat_mul(rho, rho)) == pytest.approx(1.0, abs=1e-12)
+        assert trace(rho @ rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_invariants(self, rng):
         for v in (game.initial_state("psi1"), game.initial_state("psi2")):
