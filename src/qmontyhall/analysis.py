@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .channels import NoiseSpec
 from .game import GameConfig, builtin_strategy, check_gamma, play
@@ -179,9 +178,10 @@ def case_mixing_coefficient(case: int, noise: float) -> float:
 
 
 def threshold(case: int, lo: float, hi: float) -> float:
-    """Noise value where the optimal classical move flips, by bisection on
-    the simulated cos(2*gamma) coefficient.  Requires a sign change over
-    [lo, hi]."""
+    """Noise value where the optimal classical move flips: bisection on the
+    simulated cos(2*gamma) coefficient over a sign change in [lo, hi], lo < hi."""
+    if not lo < hi:
+        raise ValueError(f"bracket [{lo}, {hi}] is empty or runs backwards")
     f = lambda x: case_mixing_coefficient(case, x)
     f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0:
@@ -193,8 +193,17 @@ def threshold(case: int, lo: float, hi: float) -> float:
             f"case {case}: no sign change of the mixing coefficient on "
             f"[{lo}, {hi}] (c1({lo})={f_lo:.3e}, c1({hi})={f_hi:.3e})"
         )
-    # 1100 halvings shrink any finite bracket below xtol (scipy stops at 100)
-    return float(bisect(f, lo, hi, xtol=1e-10, maxiter=1100))
+    # as scipy.optimize.bisect; 1100 halvings take any finite bracket below 1e-10
+    x, step = lo, hi - lo
+    for _ in range(1100):
+        step /= 2
+        mid = x + step
+        f_mid = f(mid)
+        if f_mid * f_lo >= 0:
+            x = mid
+        if f_mid == 0 or abs(step) < 1e-10 + 4 * np.finfo(float).eps * abs(mid):
+            break
+    return mid
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import NoiseSpec, apply_local_sequential, single_channel
-from .linalg import STATE_DIM, density_from_pure, kron, unitarity_deviation
+from .linalg import STATE_DIM, density_from_pure, unitarity_deviation
 
 # Player matrices must be unitary to within this max-abs tolerance.
 STRATEGY_TOL = 1e-9
@@ -159,6 +159,17 @@ def check_gamma(gamma: float) -> None:
         raise ValueError(f"gamma={gamma} outside [0, pi/2]")
 
 
+def check_state(v) -> np.ndarray:
+    """``v`` as a complex 27-vector; ValueError unless its norm is 1 to 1e-12 (NaN fails)."""
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (STATE_DIM,):
+        raise ValueError(f"custom state must have dim {STATE_DIM}")
+    norm = float(np.linalg.norm(v))
+    if not abs(norm - 1.0) <= 1e-12:
+        raise ValueError(f"state norm {norm!r} is not 1")
+    return v
+
+
 @dataclass(frozen=True)
 class GameConfig:
     """Everything that determines one round: initial state ("psi1", "psi2"
@@ -177,13 +188,7 @@ class GameConfig:
             if self.initial not in ("psi1", "psi2"):
                 raise ValueError(f"unknown initial state {self.initial!r}")
         else:
-            v = np.asarray(self.initial, dtype=complex)
-            if v.shape != (STATE_DIM,):
-                raise ValueError(f"custom state must have dim {STATE_DIM}")
-            norm = float(np.linalg.norm(v))
-            if not abs(norm - 1.0) <= 1e-12:
-                raise ValueError(f"custom state norm {norm} is not 1")
-            object.__setattr__(self, "initial", v)
+            object.__setattr__(self, "initial", check_state(self.initial))
 
     def initial_vector(self) -> np.ndarray:
         if isinstance(self.initial, str):
@@ -213,7 +218,7 @@ def evolve(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
     noise = single_channel(cfg.noise)
     if noise is not None:
         rho = apply_local_sequential(noise, rho)
-    moves = kron(kron(np.eye(3, dtype=complex), cfg.bob.matrix), cfg.alice.matrix)
+    moves = np.kron(np.kron(np.eye(3, dtype=complex), cfg.bob.matrix), cfg.alice.matrix)
     g_stay = open_operator() @ moves  # staying is the identity final move
     g_switch = switch_operator() @ g_stay
     rho_s = g_switch @ rho @ g_switch.conj().T

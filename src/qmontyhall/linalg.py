@@ -34,11 +34,6 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; block (i, j) of the result is ``a[i, j] * b``."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
-
-
 def dagger(a) -> np.ndarray:
     """Conjugate transpose."""
     return _as_matrix(a).conj().T
@@ -56,11 +51,6 @@ def hermiticity_deviation(a) -> float:
     """Max-abs entry of ``a - a†``."""
     a = _as_matrix(a)
     return float(np.abs(a - a.conj().T).max())
-
-
-def is_hermitian(a, tol: float = STRUCTURAL_TOL) -> bool:
-    a = _as_matrix(a)
-    return a.shape[0] == a.shape[1] and hermiticity_deviation(a) <= tol
 
 
 def unitarity_deviation(a) -> float:
@@ -97,8 +87,7 @@ def density_deviations(rho) -> tuple[float, float, float]:
     density matrix."""
     rho = _as_matrix(rho)
     herm = hermiticity_deviation(rho)
-    tr = trace(rho)
-    trace_dev = abs(tr - 1.0)
+    trace_dev = abs(trace(rho) - 1.0)
     # symmetrise before eigvalsh so the check tolerates the tiny
     # non-Hermitian residue measured separately above
     min_eig = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0])

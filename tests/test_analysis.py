@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import bisect
 
 from qmontyhall.analysis import (
     CASES,
@@ -161,6 +162,21 @@ class TestThreshold:
     def test_no_crossover(self):
         with pytest.raises(NoSignChangeError, match="no sign change"):
             threshold(5, 0.1, 0.9)
+
+    @pytest.mark.parametrize("lo,hi", [(3.0, 0.01), (0.5, 0.5), (math.nan, 1.0)])
+    def test_empty_or_reversed_bracket(self, lo, hi):
+        with pytest.raises(ValueError, match="empty or runs backwards") as info:
+            threshold(1, lo, hi)
+        assert not isinstance(info.value, NoSignChangeError)
+
+    @pytest.mark.parametrize("case,lo,hi", [
+        (1, 0.01, 3.0), (1, 0.1, 2.0), (1, 0.5, 0.9), (1, 0.01, 1e40),
+        (6, 0.01, 0.99), (6, 0.1, 0.99), (6, 0.6, 0.7),
+    ])
+    def test_same_float_as_scipy_bisect(self, case, lo, hi):
+        f = lambda x: case_mixing_coefficient(case, x)
+        expected = bisect(f, lo, hi, xtol=1e-10, maxiter=1100)
+        assert threshold(case, lo, hi) == expected
 
 
 class TestSweep:

@@ -134,7 +134,8 @@ class TestLocalSequential:
         np.testing.assert_allclose(out, np.eye(27) / 27.0, atol=1e-10)
 
     @pytest.mark.parametrize(
-        "channel", [se_single(0.7), gp_single(0.35)], ids=["se", "gp"]
+        "channel", [se_single(0.7), gp_single(0.35), se_single(0.7, 0.4, 2.5)],
+        ids=["se", "gp", "se-unequal-coefficients"],
     )
     def test_matches_extended_application(self, rng, channel):
         extended = extend_three(channel)

@@ -1,7 +1,9 @@
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,6 +378,15 @@ class TestThreshold:
         assert code == 0
         assert json.loads(out)["threshold"] == pytest.approx(math.log(2.0), abs=1e-8)
 
+    # the last one sets --lo above the default upper end 0.99 of a gp case
+    @pytest.mark.parametrize("case,bracket", [
+        ("1", ["--lo=3", "--hi=0.01"]), ("1", ["--lo=0.5", "--hi=0.5"]),
+        ("1", ["--lo=nan", "--hi=1"]), ("6", ["--lo=0.995"]),
+    ])
+    def test_empty_or_reversed_bracket(self, capsys, case, bracket):
+        code, out, err = run_cli(capsys, "threshold", "--case", case, *bracket)
+        assert code == 2 and out == "" and "runs backwards" in err
+
     @pytest.mark.parametrize("case", [5, 7])
     def test_no_crossover(self, capsys, case):
         code, out, err = run_cli(capsys, "threshold", "--case", str(case))
@@ -418,3 +429,13 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["payoff"] == 0.666666666667
+
+    def test_runtime_needs_numpy_only(self):
+        # scipy took most of the start-up time when the CLI imported it
+        probe = "import sys, qmontyhall.cli; print('scipy' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert result.returncode == 0 and result.stdout.strip() == "False", result.stderr
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        dependencies = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+        assert [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in dependencies] == ["numpy"]

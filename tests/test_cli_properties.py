@@ -1,8 +1,9 @@
 """Property test of the CLI contract on generated command lines.
 
 Every argv, however malformed, must end in a documented exit code (0-5)
-without an exception escaping `main`; on success, `payoff` and `threshold`
-print strict JSON and `sweep` prints a CSV of finite numbers.
+without an exception escaping `main`; an error exit (2-5) leaves stdout
+empty; on success, `payoff` and `threshold` print strict JSON and `sweep`
+prints a CSV of finite numbers.
 
 Each token is drawn from a pool of valid values or, a quarter of the time,
 of invalid ones (nan, inf, negative and huge numbers, unknown cases,
@@ -80,16 +81,18 @@ COMMANDS = {
                               _maybe("--a2", NUMBERS)),
 }
 
-# Lines that crashed, hung or printed NaN before they were given exit codes;
-# every run checks them besides the drawn ones.
+# Lines that crashed, hung, printed NaN, accepted a reversed bracket or left
+# partial output before an error; every run checks them besides the drawn ones.
 KNOWN_DEFECTS = {
     "payoff": [["payoff", "--state", "psi1", "--channel", "se", "--a1", "inf", "--noise", "0"]],
     "sweep": [["sweep", "--case", "1", "--noise-range", r, "--gamma-range", "0:1:0.5"]
               for r in ("0:nan:0.1", "0:inf:0.1", "0:1:nan", "0:1e9:1e-3")]
     + [["sweep", "--case", "1", "--noise-range", "0:1:0.5", "--gamma-range", "0:1:0.5",
         "--out", "/nonexistent-dir/table.csv"]],
-    "verify": [["verify", "--case", "1", "--noise-range", "0:1e9:1e-3", "--gamma-range", "0:0:1"]],
-    "threshold": [["threshold", "--case", "1", "--lo", "0.01", "--hi", "1e40"]],
+    "verify": [["verify", "--case", "1", "--noise-range", "0:1e9:1e-3", "--gamma-range", "0:0:1"],
+               ["verify", "--case", "all", "--noise-range", "0:3:1.5", "--gamma-range", "0:0:1"]],
+    "threshold": [["threshold", "--case", "1", "--lo", "0.01", "--hi", "1e40"],
+                  ["threshold", "--case", "1", "--lo", "3", "--hi", "0.01"]],
     "validate-channel": [["validate-channel", "--channel", "se", "--noise", "0", "--a1", "inf"]],
 }
 
@@ -110,6 +113,8 @@ def test_every_argv_ends_in_a_documented_exit_code(command):
     def check(argv):
         code, out = _run(argv)
         assert code in range(6), (argv, code)
+        if code >= 2:
+            assert out == "", (argv, code, out)
         if code != 0:
             return
         if command in ("payoff", "threshold"):

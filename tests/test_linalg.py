@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import random_density, random_unitary
+from conftest import random_density
 
 from qmontyhall import channels, game
 from qmontyhall.linalg import (
@@ -10,36 +10,8 @@ from qmontyhall.linalg import (
     density_from_pure,
     is_density_matrix,
     is_unitary,
-    kron,
     trace,
 )
-
-
-class TestKron:
-    def test_identity(self):
-        np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diagonal_blocks(self):
-        out = kron(np.diag([1.0, 2.0]), np.eye(2))
-        np.testing.assert_array_equal(out, np.diag([1.0, 1.0, 2.0, 2.0]))
-
-    def test_shift_clock_block_structure(self):
-        # row-block 0 of SHIFT (x) CLOCK is (0, CLOCK, 0): SHIFT[0] = (0,1,0)
-        out = kron(channels.SHIFT, channels.CLOCK)
-        assert out.shape == (9, 9)
-        np.testing.assert_array_equal(out[0:3, 0:3], np.zeros((3, 3)))
-        np.testing.assert_array_equal(out[0:3, 3:6], channels.CLOCK)
-        np.testing.assert_array_equal(out[0:3, 6:9], np.zeros((3, 3)))
-
-    def test_associative_on_integer_matrices(self, rng):
-        a, b, c = (rng.integers(-3, 4, size=(3, 3)).astype(complex) for _ in range(3))
-        np.testing.assert_array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
-
-    def test_kron_of_unitaries_is_unitary(self, rng):
-        perm = np.eye(3)[[2, 0, 1]].astype(complex)
-        for u, v in [(random_unitary(rng, 3), random_unitary(rng, 3)),
-                     (perm, random_unitary(rng, 9))]:
-            assert is_unitary(kron(u, v), 1e-10)
 
 
 class TestDagger:
@@ -80,7 +52,7 @@ class TestTrace:
     def test_multiplicative_under_kron(self, rng):
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert trace(kron(a, b)) == pytest.approx(trace(a) * trace(b), abs=1e-12)
+        assert trace(np.kron(a, b)) == pytest.approx(trace(a) * trace(b), abs=1e-12)
 
     def test_cyclic(self, rng):
         radius = rng.uniform(0, 1, size=(2, STATE_DIM, STATE_DIM))
