@@ -36,8 +36,8 @@ from .game import (
     GameConfig,
     GameOutcome,
     StrategyUnitary,
+    branch_probabilities,
     builtin_strategy,
-    evolve,
     initial_state,
     open_operator,
     play,
@@ -61,11 +61,11 @@ __all__ = [
     "VerifyReport",
     "apply",
     "apply_local_sequential",
+    "branch_probabilities",
     "builtin_strategy",
     "case_config",
     "classical_reference",
     "closed_form_payoff",
-    "evolve",
     "extend_three",
     "gamma_coefficients",
     "gp_single",

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .channels import NoiseSpec
-from .game import GameConfig, builtin_strategy, check_gamma, play
+from .game import GameConfig, branch_probabilities, builtin_strategy, check_gamma, play
 from .linalg import FORMULA_TOL
 
 
@@ -277,24 +277,36 @@ def verify_case(
     case: int,
     noise_values=None,
     gamma_values=None,
-    simulate: Callable[[int, float, float], float] = simulate_case,
+    simulate: Callable[[int, float, float], float] | None = None,
     tol: float = FORMULA_TOL,
 ) -> VerifyReport:
     """Max |simulated - closed form| over the grid, pass/fail at ``tol``.
 
-    ``simulate`` is injectable so negative controls (deliberately wrong
-    configurations) can be pushed through the same report path.
+    By default the case is compiled once and simulated once per noise value,
+    gamma entering as the weights cos^2 and sin^2 as in `play`.  ``simulate``
+    is injectable, and then called per point, so negative controls
+    (deliberately wrong configurations) can be pushed through the same
+    report path.
     """
     if noise_values is None:
         noise_values = default_noise_grid(case)
     if gamma_values is None:
         gamma_values = default_gamma_grid()
+    noises = [NoiseSpec.of(case_spec(case).channel_kind, x) for x in noise_values]
+    for g in gamma_values:
+        check_gamma(g)
+    if simulate is None:
+        probabilities = branch_probabilities(case_config(case, 0.0, 0.0))
+        weights = [(math.cos(g) ** 2, math.sin(g) ** 2) for g in gamma_values]
+        rows = ([w_s * p_s + w_n * p_n for w_s, w_n in weights]
+                for p_s, p_n in map(probabilities, noises))
+    else:
+        rows = ([simulate(case, x, g) for g in gamma_values] for x in noise_values)
     worst = 0.0
-    points = 0
-    for x in noise_values:
-        for g in gamma_values:
-            worst = max(worst, abs(simulate(case, x, g) - closed_form_payoff(case, x, g)))
-            points += 1
+    for x, row in zip(noise_values, rows):
+        for g, value in zip(gamma_values, row):
+            worst = max(worst, abs(value - _CASE_FORMULAS[case](x, g)))
+    points = len(noises) * len(gamma_values)
     return VerifyReport(
         case=case, max_abs_error=worst, tol=tol, passed=worst <= tol, points=points
     )

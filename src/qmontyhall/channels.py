@@ -28,6 +28,12 @@ from .linalg import REGISTER_COUNT, STRUCTURAL_TOL, QUTRIT_DIM, STATE_DIM
 # unity phases): the generators of the generalized Pauli family.
 SHIFT = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=complex)
 CLOCK = np.diag([1.0, np.exp(2j * np.pi / 3), np.exp(4j * np.pi / 3)])
+# The nine products SHIFT^i @ CLOCK^j, in lexicographic (i, j) order.
+SHIFT_CLOCK = tuple(
+    np.linalg.matrix_power(SHIFT, i) @ np.linalg.matrix_power(CLOCK, j)
+    for i in range(3)
+    for j in range(3)
+)
 
 
 @dataclass(frozen=True)
@@ -139,14 +145,9 @@ def gp_single(p: float) -> KrausChannel:
     elements are kept so the list shape is uniform.
     """
     _check_params("gp", p)
-    shift_powers = [np.linalg.matrix_power(SHIFT, i) for i in range(3)]
-    clock_powers = [np.linalg.matrix_power(CLOCK, j) for j in range(3)]
-    elements = []
-    for i in range(3):
-        for j in range(3):
-            weight = 1.0 - 8.0 * p / 9.0 if (i, j) == (0, 0) else p / 9.0
-            elements.append(math.sqrt(weight) * (shift_powers[i] @ clock_powers[j]))
-    return KrausChannel(QUTRIT_DIM, tuple(elements), label=f"GP(p={p:g})")
+    weights = [1.0 - 8.0 * p / 9.0] + [p / 9.0] * 8
+    elements = tuple(math.sqrt(w) * m for w, m in zip(weights, SHIFT_CLOCK))
+    return KrausChannel(QUTRIT_DIM, elements, label=f"GP(p={p:g})")
 
 
 def identity_channel(dim: int = QUTRIT_DIM) -> KrausChannel:

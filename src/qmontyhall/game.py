@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -212,33 +213,37 @@ class GameOutcome:
         return (self.p_switch - self.p_not_switch) / 2.0
 
 
-def evolve(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Run the full pipeline and return (rho_switch, rho_not_switch)."""
+def branch_probabilities(cfg: GameConfig) -> Callable[[NoiseSpec], tuple[float, float]]:
+    """Compile cfg's state and moves; the result maps a noise to
+    (p_switch, p_not_switch).
+
+    The moves, open, final move and win projector fold into one effect per
+    branch, E = G† W G, so p = Tr(E N(rho)) and only the noise N is applied
+    per call.  cfg's own noise and gamma are not used.
+    """
     rho = density_from_pure(cfg.initial_vector())
-    noise = single_channel(cfg.noise)
-    if noise is not None:
-        rho = apply_local_sequential(noise, rho)
     moves = np.kron(np.kron(np.eye(3, dtype=complex), cfg.bob.matrix), cfg.alice.matrix)
     g_stay = open_operator() @ moves  # staying is the identity final move
     g_switch = switch_operator() @ g_stay
-    rho_s = g_switch @ rho @ g_switch.conj().T
-    rho_n = g_stay @ rho @ g_stay.conj().T
-    return rho_s, rho_n
+    effects = [g.conj().T @ win_projector() @ g for g in (g_switch, g_stay)]
 
+    def probabilities(noise: NoiseSpec) -> tuple[float, float]:
+        channel = single_channel(noise)
+        r = rho if channel is None else apply_local_sequential(channel, rho)
+        # Tr(E r) = vdot(E, r) because E is Hermitian
+        p_switch, p_not_switch = (complex(np.vdot(e, r)) for e in effects)
+        residue = max(abs(p_switch.imag), abs(p_not_switch.imag))
+        if residue > 1e-12:
+            raise ValueError(f"win probability has imaginary residue {residue:.3e}")
+        return p_switch.real, p_not_switch.real
 
-def _win_probability(rho: np.ndarray) -> float:
-    value = complex(np.trace(win_projector() @ rho))
-    if abs(value.imag) > 1e-12:
-        raise ValueError(f"win probability has imaginary residue {value.imag:.3e}")
-    return value.real
+    return probabilities
 
 
 def play(cfg: GameConfig) -> GameOutcome:
     """Evaluate one round; the payoff mixes the two branch probabilities
     with weights cos(gamma)^2 (switch) and sin(gamma)^2 (stay)."""
-    rho_s, rho_n = evolve(cfg)
-    p_switch = _win_probability(rho_s)
-    p_not_switch = _win_probability(rho_n)
+    p_switch, p_not_switch = branch_probabilities(cfg)(cfg.noise)
     payoff = math.cos(cfg.gamma) ** 2 * p_switch + math.sin(cfg.gamma) ** 2 * p_not_switch
     return GameOutcome(
         payoff=payoff, p_switch=p_switch, p_not_switch=p_not_switch, gamma=cfg.gamma

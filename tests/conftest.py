@@ -22,6 +22,21 @@ def random_unitary(rng, dim: int) -> np.ndarray:
     return expm(1j * (g + g.conj().T) / 2)
 
 
+def haar_unitary(rng, dim: int) -> np.ndarray:
+    """Haar-distributed unitary: QR of a complex Ginibre matrix with the
+    phases of R's diagonal divided out (Mezzadri, math-ph/0609050)."""
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def random_state(rng, dim: int) -> np.ndarray:
+    """Uniformly random unit vector (normalised complex Gaussian)."""
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
 def random_density(rng, dim: int) -> np.ndarray:
     """Random full-rank density matrix (normalised Wishart)."""
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -37,8 +52,7 @@ def random_config(rng, gamma=None) -> GameConfig:
     elif roll == 1:
         initial = "psi2"
     else:
-        v = rng.normal(size=STATE_DIM) + 1j * rng.normal(size=STATE_DIM)
-        initial = v / np.linalg.norm(v)
+        initial = random_state(rng, STATE_DIM)
     kind = rng.integers(0, 3)
     if kind == 0:
         noise = NoiseSpec.none()

@@ -225,6 +225,29 @@ class TestVerifyCase:
         assert report.max_abs_error <= 1e-9
         assert report.points == 441
 
+    def test_one_noise_build_per_noise_value(self, monkeypatch):
+        import qmontyhall.channels as channels
+
+        builds = []
+        original = channels.se_single
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(channels, "se_single", counted)
+        report = verify_case(1)
+        assert report.passed and report.points == 441
+        assert len(builds) == 21
+
+    @pytest.mark.parametrize("noise,gamma,match", [
+        ([0.0, 1.5], [0.0], "error probability"),
+        ([0.0], [0.0, 2.0], "gamma"),
+    ])
+    def test_domain_checked(self, noise, gamma, match):
+        with pytest.raises(ValueError, match=match):
+            verify_case(5, noise, gamma)
+
     def test_negative_control(self):
         # Case 3 with the wrong Bob move must not reproduce its closed form
         wrong = lambda case, x, g: play(case_config(case, x, g, bob="m1")).payoff

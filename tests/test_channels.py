@@ -5,6 +5,8 @@ import pytest
 from conftest import random_density
 
 from qmontyhall.channels import (
+    CLOCK,
+    SHIFT,
     KrausChannel,
     NoiseSpec,
     apply,
@@ -77,6 +79,17 @@ class TestGeneralizedPauli:
         for p in (0.0, 0.3, 0.7, 1.0):
             out = apply(gp_single(p), np.eye(3, dtype=complex) / 3.0)
             np.testing.assert_allclose(out, np.eye(3) / 3.0, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [0.0, 0.35, 1.0])
+    def test_elements_are_weighted_shift_clock_products(self, p):
+        elements = gp_single(p).elements
+        for i in range(3):
+            for j in range(3):
+                weight = 1.0 - 8.0 * p / 9.0 if (i, j) == (0, 0) else p / 9.0
+                product = (np.linalg.matrix_power(SHIFT, i)
+                           @ np.linalg.matrix_power(CLOCK, j))
+                np.testing.assert_array_equal(elements[3 * i + j],
+                                              math.sqrt(weight) * product)
 
     def test_domain_errors(self):
         for p in (-0.01, 1.01):

@@ -1,15 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from conftest import random_config, with_gamma
+import reference
+from conftest import haar_unitary, random_config, random_state, with_gamma
+from reference import evolve
 
 from qmontyhall.channels import NoiseSpec
 from qmontyhall.game import (
     GameConfig,
     StrategyUnitary,
+    branch_probabilities,
     builtin_strategy,
-    evolve,
     initial_state,
     open_operator,
     play,
@@ -176,6 +179,40 @@ class TestEvolve:
             rho_s, rho_n = evolve(_identity_config(which))
             assert trace(rho_s @ rho_s).real == pytest.approx(1.0, abs=1e-10)
             assert trace(rho_n @ rho_n).real == pytest.approx(1.0, abs=1e-10)
+
+
+class TestBranchProbabilities:
+    NOISES = (
+        NoiseSpec.none(),
+        NoiseSpec.spontaneous_emission(0.7, a1=0.4, a2=2.5),
+        NoiseSpec.generalized_pauli(0.35),
+    )
+
+    def test_matches_schrodinger_reference(self):
+        rng = np.random.default_rng(20261019)
+        for _ in range(8):
+            cfg = GameConfig(
+                initial=random_state(rng, STATE_DIM),
+                alice=StrategyUnitary(haar_unitary(rng, 3), name="haar-a"),
+                bob=StrategyUnitary(haar_unitary(rng, 3), name="haar-b"),
+                noise=NoiseSpec.none(),
+                gamma=float(rng.uniform(0.0, math.pi / 2)),
+            )
+            probabilities = branch_probabilities(cfg)
+            for noise in self.NOISES:
+                noisy = dataclasses.replace(cfg, noise=noise)
+                expected = reference.branch_probabilities(noisy)
+                np.testing.assert_allclose(probabilities(noise), expected, rtol=0, atol=1e-12)
+                outcome = play(noisy)
+                np.testing.assert_allclose((outcome.p_switch, outcome.p_not_switch),
+                                           expected, rtol=0, atol=1e-12)
+                mixed = (math.cos(cfg.gamma) ** 2 * expected[0]
+                         + math.sin(cfg.gamma) ** 2 * expected[1])
+                assert outcome.payoff == pytest.approx(mixed, abs=1e-12)
+
+    def test_ignores_the_config_noise(self):
+        cfg = _identity_config("psi2", noise=NoiseSpec.generalized_pauli(1.0))
+        assert branch_probabilities(cfg)(NoiseSpec.none()) == pytest.approx((0.0, 1.0), abs=1e-12)
 
 
 class TestPlay:
