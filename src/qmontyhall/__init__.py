@@ -21,17 +21,7 @@ from .analysis import (
     threshold,
     verify_case,
 )
-from .channels import (
-    CptpReport,
-    KrausChannel,
-    NoiseSpec,
-    apply,
-    apply_local_sequential,
-    extend_three,
-    gp_single,
-    se_single,
-    validate_cptp,
-)
+from .channels import NoiseSpec, apply_local_sequential, gp_single, se_single
 from .game import (
     GameConfig,
     GameOutcome,
@@ -50,23 +40,19 @@ __version__ = "0.1.0"
 __all__ = [
     "CASES",
     "CaseSpec",
-    "CptpReport",
     "GameConfig",
     "GameOutcome",
-    "KrausChannel",
     "NoSignChangeError",
     "NoiseSpec",
     "StrategyUnitary",
     "SweepTable",
     "VerifyReport",
-    "apply",
     "apply_local_sequential",
     "branch_probabilities",
     "builtin_strategy",
     "case_config",
     "classical_reference",
     "closed_form_payoff",
-    "extend_three",
     "gamma_coefficients",
     "gp_single",
     "initial_state",
@@ -78,7 +64,6 @@ __all__ = [
     "sweep",
     "switch_operator",
     "threshold",
-    "validate_cptp",
     "verify_case",
     "win_projector",
 ]

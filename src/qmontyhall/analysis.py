@@ -22,7 +22,9 @@ import numpy as np
 
 from .channels import NoiseSpec
 from .game import GameConfig, branch_probabilities, builtin_strategy, check_gamma, play
-from .linalg import FORMULA_TOL
+
+# Tolerance for simulated-payoff vs closed-form comparisons.
+FORMULA_TOL = 1e-9
 
 
 class NoSignChangeError(ValueError):
@@ -280,7 +282,8 @@ def verify_case(
     simulate: Callable[[int, float, float], float] | None = None,
     tol: float = FORMULA_TOL,
 ) -> VerifyReport:
-    """Max |simulated - closed form| over the grid, pass/fail at ``tol``.
+    """Max |simulated - closed form| over the grid, pass/fail at ``tol``;
+    ValueError for an empty or not strictly ascending axis.
 
     By default the case is compiled once and simulated once per noise value,
     gamma entering as the weights cos^2 and sin^2 as in `play`.  ``simulate``
@@ -292,6 +295,8 @@ def verify_case(
         noise_values = default_noise_grid(case)
     if gamma_values is None:
         gamma_values = default_gamma_grid()
+    noise_values = _check_grid(noise_values, "noise")
+    gamma_values = _check_grid(gamma_values, "gamma")
     noises = [NoiseSpec.of(case_spec(case).channel_kind, x) for x in noise_values]
     for g in gamma_values:
         check_gamma(g)

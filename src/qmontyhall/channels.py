@@ -1,4 +1,4 @@
-"""Qutrit noise channels in Kraus form.
+"""Qutrit noise channels as 9x9 superoperators.
 
 Two families are provided:
 
@@ -9,10 +9,15 @@ Two families are provided:
   clock unitaries with error probability ``p in [0, 1]``; at ``p = 1`` every
   input is mapped to the maximally mixed state.
 
-Single-qutrit channels extend to the full three-register space either by
-forming all triple Kronecker products of Kraus elements (`extend_three`) or,
-equivalently and much cheaper, by applying the channel's 9x9 superoperator
-to one register at a time (`apply_local_sequential`).
+A single-qutrit channel is its superoperator S[a, c, b, d], the weight of
+input entry rho[b, d] in output entry [a, c] (for a Kraus list,
+S = sum_k K[a, b] conj(K[c, d])).  `se_single` and `gp_single` build it in
+closed form, `apply_local_sequential` applies it to each of the three
+registers, and `trace_preservation_deviation` and
+`complete_positivity_deviation` check that it is a channel.
+
+The three-qutrit register order is (opened box, Bob's choice, Alice's prize):
+basis index ``9*o + 3*b + a``, leftmost tensor factor most significant.
 """
 
 from __future__ import annotations
@@ -22,48 +27,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import REGISTER_COUNT, STRUCTURAL_TOL, QUTRIT_DIM, STATE_DIM
+QUTRIT_DIM = 3
+REGISTER_COUNT = 3
+STATE_DIM = QUTRIT_DIM**REGISTER_COUNT  # 27
 
-# Qutrit shift (cyclic permutation of the basis) and clock (third-root-of-
-# unity phases): the generators of the generalized Pauli family.
-SHIFT = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=complex)
-CLOCK = np.diag([1.0, np.exp(2j * np.pi / 3), np.exp(4j * np.pi / 3)])
-# The nine products SHIFT^i @ CLOCK^j, in lexicographic (i, j) order.
-SHIFT_CLOCK = tuple(
-    np.linalg.matrix_power(SHIFT, i) @ np.linalg.matrix_power(CLOCK, j)
-    for i in range(3)
-    for j in range(3)
-)
+# Max-abs tolerance for structural checks (trace preservation, complete
+# positivity).
+STRUCTURAL_TOL = 1e-10
 
-
-@dataclass(frozen=True)
-class KrausChannel:
-    """A quantum channel as a finite list of same-dimension Kraus elements.
-
-    Completeness (sum of K†K equal to the identity) is what makes the list
-    trace preserving; it is checked by `validate_cptp`, not at construction,
-    so deliberately broken channels can be built in tests.
-    """
-
-    dim: int
-    elements: tuple[np.ndarray, ...]
-    label: str = ""
-
-    def __post_init__(self):
-        if not self.elements:
-            raise ValueError("a channel needs at least one Kraus element")
-        for k in self.elements:
-            if k.shape != (self.dim, self.dim):
-                raise ValueError(
-                    f"Kraus element of shape {k.shape} in a dim-{self.dim} channel"
-                )
-
-    def completeness_deviation(self) -> float:
-        """Max-abs entry of (sum of K†K) - I."""
-        acc = np.zeros((self.dim, self.dim), dtype=complex)
-        for k in self.elements:
-            acc += k.conj().T @ k
-        return float(np.abs(acc - np.eye(self.dim)).max())
+_EYE = np.eye(QUTRIT_DIM, dtype=complex)
+# rho -> rho and rho -> Tr(rho) I/3 as superoperators
+_IDENTITY_MAP = np.einsum("ab,cd->acbd", _EYE, _EYE)
+_REPLACE_BY_MIXED = np.einsum("ac,bd->acbd", _EYE, _EYE) / QUTRIT_DIM
 
 
 def _check_params(kind: str, value: float, a1: float = 1.0, a2: float = 1.0) -> None:
@@ -122,82 +97,53 @@ class NoiseSpec:
         return cls(kind="gp", p=p)
 
 
-def se_single(t: float, a1: float = 1.0, a2: float = 1.0) -> KrausChannel:
-    """Single-qutrit spontaneous emission channel at time ``t``.
+def se_single(t: float, a1: float = 1.0, a2: float = 1.0) -> np.ndarray:
+    """Superoperator of single-qutrit spontaneous emission at time ``t``.
 
-    Kraus elements: K0 = diag(1, e^(-t*a1/2), e^(-t*a2/2)),
-    K1 = sqrt(1 - e^(-t*a1)) |0><1|, K2 = sqrt(1 - e^(-t*a2)) |0><2|.
+    Its Kraus elements are K0 = diag(k0), k0 = (1, e^(-t*a1/2), e^(-t*a2/2)),
+    K1 = sqrt(1 - e^(-t*a1)) |0><1| and K2 = sqrt(1 - e^(-t*a2)) |0><2|, so
+    S[a, c, a, c] = k0[a] k0[c], S[0, 0, 1, 1] = 1 - e^(-t*a1),
+    S[0, 0, 2, 2] = 1 - e^(-t*a2) and every other entry is 0.
     """
     _check_params("se", t, a1, a2)
-    k0 = np.diag([1.0, math.exp(-t * a1 / 2), math.exp(-t * a2 / 2)]).astype(complex)
-    k1 = np.zeros((3, 3), dtype=complex)
-    k1[0, 1] = math.sqrt(1.0 - math.exp(-t * a1))
-    k2 = np.zeros((3, 3), dtype=complex)
-    k2[0, 2] = math.sqrt(1.0 - math.exp(-t * a2))
-    return KrausChannel(QUTRIT_DIM, (k0, k1, k2), label=f"SE(t={t:g})")
+    k0 = np.array([1.0, math.exp(-t * a1 / 2), math.exp(-t * a2 / 2)])
+    s = _IDENTITY_MAP * np.outer(k0, k0)[:, :, None, None]
+    s[0, 0, 1, 1] = -math.expm1(-t * a1)
+    s[0, 0, 2, 2] = -math.expm1(-t * a2)
+    return s
 
 
-def gp_single(p: float) -> KrausChannel:
-    """Single-qutrit generalized Pauli channel with error probability ``p``.
+def gp_single(p: float) -> np.ndarray:
+    """Superoperator of the single-qutrit generalized Pauli channel with
+    error probability ``p``: rho -> (1 - p) rho + p Tr(rho) I/3.
 
-    Nine elements sqrt(P_ij) * SHIFT^i @ CLOCK^j in lexicographic (i, j)
-    order, with P_00 = 1 - 8p/9 and P_ij = p/9 otherwise.  Zero-weight
-    elements are kept so the list shape is uniform.
+    That is the channel with Kraus elements sqrt(P_ij) SHIFT^i CLOCK^j,
+    P_00 = 1 - 8p/9 and P_ij = p/9 otherwise, because the nine equally
+    weighted shift-clock products replace any rho by Tr(rho) I/3.
     """
     _check_params("gp", p)
-    weights = [1.0 - 8.0 * p / 9.0] + [p / 9.0] * 8
-    elements = tuple(math.sqrt(w) * m for w, m in zip(weights, SHIFT_CLOCK))
-    return KrausChannel(QUTRIT_DIM, elements, label=f"GP(p={p:g})")
+    return (1.0 - p) * _IDENTITY_MAP + p * _REPLACE_BY_MIXED
 
 
-def identity_channel(dim: int = QUTRIT_DIM) -> KrausChannel:
-    return KrausChannel(dim, (np.eye(dim, dtype=complex),), label="identity")
+def single_channel(spec: NoiseSpec) -> np.ndarray | None:
+    """The superoperator of the single-qutrit channel described by ``spec``
+    (None when noiseless)."""
+    if spec.kind == "none":
+        return None
+    if spec.kind == "se":
+        return se_single(spec.t, spec.a1, spec.a2)
+    return gp_single(spec.p)
 
 
-def extend_three(single: KrausChannel) -> KrausChannel:
-    """Lift a single-qutrit channel to the three-register space.
-
-    Elements are all triple Kronecker products K_i1 (x) K_i2 (x) K_i3,
-    enumerated lexicographically in (i1, i2, i3); for n single-qutrit
-    elements the extension has n**3.
-    """
-    if single.dim != QUTRIT_DIM:
-        raise ValueError(f"can only extend a single-qutrit channel, got dim {single.dim}")
-    elements = tuple(
-        np.kron(np.kron(k1, k2), k3)
-        for k1 in single.elements
-        for k2 in single.elements
-        for k3 in single.elements
-    )
-    return KrausChannel(STATE_DIM, elements, label=f"{single.label} x3")
-
-
-def apply(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """Channel action: sum of K @ rho @ K†."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (ch.dim, ch.dim):
-        raise ValueError(f"state of shape {rho.shape} under a dim-{ch.dim} channel")
-    out = np.zeros_like(rho)
-    for k in ch.elements:
-        out += k @ rho @ k.conj().T
-    return out
-
-
-def apply_local_sequential(single: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """Apply a single-qutrit channel independently to each of the three
-    registers.
-
-    Equals ``apply(extend_three(single), rho)``, but contracts the channel's
-    superoperator S[a, c, b, d] = sum_k K[a, b] conj(K[c, d]) into one
-    register at a time instead of summing n**3 triple products.
-    """
-    if single.dim != QUTRIT_DIM:
-        raise ValueError(f"expected a single-qutrit channel, got dim {single.dim}")
+def apply_local_sequential(s: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Apply a single-qutrit channel, given by its superoperator
+    S[a, c, b, d], independently to each of the three registers, contracting
+    S into one register at a time."""
+    if np.shape(s) != (QUTRIT_DIM,) * 4:
+        raise ValueError(f"expected a single-qutrit superoperator, got shape {np.shape(s)}")
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (STATE_DIM, STATE_DIM):
         raise ValueError(f"expected a {STATE_DIM}x{STATE_DIM} state, got {rho.shape}")
-    k = np.stack(single.elements)
-    s = np.einsum("kab,kcd->acbd", k, k.conj())
     r = rho.reshape((QUTRIT_DIM,) * 6)
     for _ in range(REGISTER_COUNT):
         # S acts on the leading register (axes 0 and 3), which then moves last
@@ -205,24 +151,15 @@ def apply_local_sequential(single: KrausChannel, rho: np.ndarray) -> np.ndarray:
     return r.reshape(STATE_DIM, STATE_DIM)
 
 
-@dataclass(frozen=True)
-class CptpReport:
-    label: str
-    max_deviation: float
-    tol: float
-    passed: bool
+def trace_preservation_deviation(s: np.ndarray) -> float:
+    """Max-abs entry of sum_a S[a, a, b, d] - delta_bd: zero exactly when
+    the map preserves the trace of every input."""
+    return float(np.abs(np.einsum("aabd->bd", s) - np.eye(QUTRIT_DIM)).max())
 
 
-def validate_cptp(ch: KrausChannel, tol: float = STRUCTURAL_TOL) -> CptpReport:
-    """Check the completeness relation sum(K†K) = I to ``tol``."""
-    dev = ch.completeness_deviation()
-    return CptpReport(label=ch.label, max_deviation=dev, tol=tol, passed=dev <= tol)
-
-
-def single_channel(spec: NoiseSpec) -> KrausChannel | None:
-    """The single-qutrit channel described by ``spec`` (None when noiseless)."""
-    if spec.kind == "none":
-        return None
-    if spec.kind == "se":
-        return se_single(spec.t, spec.a1, spec.a2)
-    return gp_single(spec.p)
+def complete_positivity_deviation(s: np.ndarray) -> float:
+    """How far the Choi matrix J[(b, a), (d, c)] = S[a, c, b, d] is from
+    positive semidefinite, max(0, -lambda_min(J)): zero exactly when the map
+    is completely positive (Choi 1975)."""
+    choi = s.transpose(2, 0, 3, 1).reshape(QUTRIT_DIM**2, QUTRIT_DIM**2)
+    return max(0.0, -float(np.linalg.eigvalsh(choi)[0]))

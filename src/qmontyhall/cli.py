@@ -2,7 +2,8 @@
 
 Subcommands: ``payoff`` (one game, JSON out), ``sweep`` (payoff grid, CSV
 out), ``verify`` (simulation vs closed forms), ``threshold`` (strategy
-crossover by bisection) and ``validate-channel`` (Kraus completeness).
+crossover by bisection) and ``validate-channel`` (trace preservation and
+complete positivity of a noise channel's superoperator).
 
 Exit codes: 0 success, 1 verification/validation failure, 2 bad flags or
 range, grid over MAX_GRID_POINTS, unparseable input file or unwritable
@@ -23,9 +24,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import analysis
-from .channels import NoiseSpec, extend_three, single_channel, validate_cptp
+from .channels import (
+    STATE_DIM,
+    STRUCTURAL_TOL,
+    NoiseSpec,
+    complete_positivity_deviation,
+    single_channel,
+    trace_preservation_deviation,
+)
 from .game import GameConfig, StrategyUnitary, builtin_strategy, check_state, play
-from .linalg import STATE_DIM
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -306,15 +313,15 @@ def _cmd_threshold(args, parser) -> int:
 
 def _cmd_validate_channel(args, parser) -> int:
     with _domain():
-        single = single_channel(NoiseSpec.of(args.channel, args.noise, args.a1, args.a2))
-    reports = [("single-qutrit", validate_cptp(single)),
-               ("extended", validate_cptp(extend_three(single)))]
-    ok = True
-    for scope, report in reports:
-        status = "pass" if report.passed else "fail"
-        print(f"{scope} {report.label}: max_deviation={report.max_deviation:.3e} {status}")
-        ok = ok and report.passed
-    return EXIT_OK if ok else EXIT_FAIL
+        spec = NoiseSpec.of(args.channel, args.noise, args.a1, args.a2)
+    s = single_channel(spec)
+    label = f"SE(t={spec.t:g})" if spec.kind == "se" else f"GP(p={spec.p:g})"
+    deviations = [("single-qutrit", trace_preservation_deviation(s)),
+                  ("choi", complete_positivity_deviation(s))]
+    for scope, dev in deviations:
+        status = "pass" if dev <= STRUCTURAL_TOL else "fail"
+        print(f"{scope} {label}: max_deviation={dev:.3e} {status}")
+    return EXIT_OK if all(dev <= STRUCTURAL_TOL for _, dev in deviations) else EXIT_FAIL
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
@@ -373,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_threshold.set_defaults(handler=_cmd_threshold)
 
     p_validate = sub.add_parser("validate-channel",
-                                help="Kraus completeness of a noise channel")
+                                help="trace preservation and complete positivity "
+                                     "of a noise channel")
     p_validate.add_argument("--channel", choices=("se", "gp"), required=True)
     p_validate.add_argument("--noise", type=float, required=True)
     p_validate.add_argument("--a1", type=float, default=1.0)

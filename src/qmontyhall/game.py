@@ -20,8 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import NoiseSpec, apply_local_sequential, single_channel
-from .linalg import STATE_DIM, density_from_pure, unitarity_deviation
+from .channels import STATE_DIM, NoiseSpec, apply_local_sequential, single_channel
 
 # Player matrices must be unitary to within this max-abs tolerance.
 STRATEGY_TOL = 1e-9
@@ -41,6 +40,11 @@ _H = np.array(
         [(-1 - 1j * _SQRT7) / (4 * _SQRT2), (-3 + 1j * _SQRT7) / 8, (5 + 1j * _SQRT7) / 8],
     ]
 )
+
+
+def unitarity_deviation(a: np.ndarray) -> float:
+    """Max-abs entry of ``a†a - I``."""
+    return float(np.abs(a.conj().T @ a - np.eye(a.shape[1])).max())
 
 
 @dataclass(frozen=True)
@@ -221,7 +225,8 @@ def branch_probabilities(cfg: GameConfig) -> Callable[[NoiseSpec], tuple[float, 
     branch, E = G† W G, so p = Tr(E N(rho)) and only the noise N is applied
     per call.  cfg's own noise and gamma are not used.
     """
-    rho = density_from_pure(cfg.initial_vector())
+    v = cfg.initial_vector()
+    rho = np.outer(v, v.conj())
     moves = np.kron(np.kron(np.eye(3, dtype=complex), cfg.bob.matrix), cfg.alice.matrix)
     g_stay = open_operator() @ moves  # staying is the identity final move
     g_switch = switch_operator() @ g_stay

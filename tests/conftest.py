@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from qmontyhall.channels import NoiseSpec
 from qmontyhall.game import GameConfig, StrategyUnitary
-from qmontyhall.linalg import STATE_DIM
+from qmontyhall.channels import STATE_DIM
 
 SEED = 20260810
 

@@ -1,8 +1,5 @@
-"""Dense complex linear algebra for one-, two- and three-qutrit registers.
-
-Everything operates on plain numpy arrays with ``complex128`` entries; the
-functions here are pure and never mutate their arguments, so operators and
-states can be shared freely between threads.
+"""Dense complex linear-algebra helpers and density-matrix invariants for the
+tests, on one-, two- and three-qutrit registers.
 
 The three-qutrit register order is (opened box, Bob's choice, Alice's prize):
 basis index ``9*o + 3*b + a``, leftmost tensor factor most significant.
@@ -12,19 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-# Max-abs tolerance for structural predicates (unitarity, Hermiticity,
-# Kraus completeness).
-STRUCTURAL_TOL = 1e-10
+from qmontyhall.channels import STATE_DIM, STRUCTURAL_TOL
+from qmontyhall.game import unitarity_deviation
 
 # A density matrix eigenvalue may undershoot zero by at most this much.
 EIG_FLOOR = -1e-10
-
-# Tolerance for simulated-payoff vs closed-form comparisons.
-FORMULA_TOL = 1e-9
-
-QUTRIT_DIM = 3
-REGISTER_COUNT = 3
-STATE_DIM = QUTRIT_DIM**REGISTER_COUNT  # 27
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -51,12 +40,6 @@ def hermiticity_deviation(a) -> float:
     """Max-abs entry of ``a - a†``."""
     a = _as_matrix(a)
     return float(np.abs(a - a.conj().T).max())
-
-
-def unitarity_deviation(a) -> float:
-    """Max-abs entry of ``a†a - I``."""
-    a = _as_matrix(a)
-    return float(np.abs(a.conj().T @ a - np.eye(a.shape[1])).max())
 
 
 def is_unitary(a, tol: float = STRUCTURAL_TOL) -> bool:
@@ -106,4 +89,3 @@ def is_density_matrix(
         return False
     herm, trace_dev, min_eig = density_deviations(rho)
     return herm <= herm_tol and trace_dev <= trace_tol and min_eig >= eig_floor
-

@@ -1,7 +1,7 @@
 """Schrödinger-picture reference for `game.branch_probabilities` and `game.play`.
 
 The state is evolved as the round describes it, with the noise applied
-through the 27x27 Kraus lift `apply(extend_three(...))`:
+through the 27x27 Kraus lift `apply(extend_three(...))` of `kraus.py`:
 
     rho -> N(rho) -> G rho G†  for G = G_switch and G_stay,  p = Tr(W G rho G†)
 
@@ -11,15 +11,16 @@ compiled effect path it checks.
 
 import numpy as np
 
-from qmontyhall.channels import apply, extend_three, single_channel
+from kraus import apply, extend_three, single_kraus
+from linalg import density_from_pure
+
 from qmontyhall.game import GameConfig, open_operator, switch_operator, win_projector
-from qmontyhall.linalg import density_from_pure
 
 
 def evolve(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
     """Run the full pipeline and return (rho_switch, rho_not_switch)."""
     rho = density_from_pure(cfg.initial_vector())
-    noise = single_channel(cfg.noise)
+    noise = single_kraus(cfg.noise)
     if noise is not None:
         rho = apply(extend_three(noise), rho)
     moves = np.kron(np.kron(np.eye(3, dtype=complex), cfg.bob.matrix), cfg.alice.matrix)

@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 from conftest import random_config, random_density, with_gamma
+from kraus import apply, extend_three, gp_kraus, se_kraus, validate_cptp
+from linalg import basis_ket, density_from_pure, is_density_matrix
 
 from qmontyhall.analysis import (
     CASES,
@@ -20,12 +22,13 @@ from qmontyhall.analysis import (
     threshold,
 )
 from qmontyhall.channels import (
-    apply,
+    STATE_DIM,
+    STRUCTURAL_TOL,
     apply_local_sequential,
-    extend_three,
+    complete_positivity_deviation,
     gp_single,
     se_single,
-    validate_cptp,
+    trace_preservation_deviation,
 )
 from qmontyhall.game import (
     initial_state,
@@ -33,7 +36,6 @@ from qmontyhall.game import (
     play,
     switch_operator,
 )
-from qmontyhall.linalg import STATE_DIM, basis_ket, density_from_pure, is_density_matrix
 
 LN2 = math.log(2.0)
 GAMMAS_21 = np.linspace(0.0, math.pi / 2, 21)
@@ -142,16 +144,23 @@ def test_criterion_5_asymptotics():
                 failures.append(f"case {case} at gamma={g:.3f}: {got!r}")
 
     ground = density_from_pure(basis_ket(0, 0, 0))
-    late_emission = extend_three(se_single(40.0))
-    full_noise = extend_three(gp_single(1.0))
+    late_emission = extend_three(se_kraus(40.0))
+    full_noise = extend_three(gp_kraus(1.0))
     for which in ("psi1", "psi2"):
         rho = density_from_pure(initial_state(which))
-        dev_ground = float(np.abs(apply(late_emission, rho) - ground).max())
-        if dev_ground > 1e-9:
-            failures.append(f"{which} not in the ground state at t=40 ({dev_ground:.3e})")
-        dev_mixed = float(np.abs(apply(full_noise, rho) - np.eye(STATE_DIM) / 27).max())
-        if dev_mixed > 1e-10:
-            failures.append(f"{which} not maximally mixed at p=1 ({dev_mixed:.3e})")
+        for label, late, mixed in (
+            ("Kraus lift", apply(late_emission, rho), apply(full_noise, rho)),
+            ("superoperator", apply_local_sequential(se_single(40.0), rho),
+             apply_local_sequential(gp_single(1.0), rho)),
+        ):
+            dev_ground = float(np.abs(late - ground).max())
+            if dev_ground > 1e-9:
+                failures.append(f"{which} not in the ground state at t=40 by the {label} "
+                                f"({dev_ground:.3e})")
+            dev_mixed = float(np.abs(mixed - np.eye(STATE_DIM) / 27).max())
+            if dev_mixed > 1e-10:
+                failures.append(f"{which} not maximally mixed at p=1 by the {label} "
+                                f"({dev_mixed:.3e})")
     _report(5, "large-noise asymptotics", failures)
 
 
@@ -167,24 +176,29 @@ def test_criterion_6_structural_properties():
     if not np.array_equal(switch_operator() @ switch_operator(), np.eye(STATE_DIM)):
         failures.append("switch operator squared is not exactly the identity")
 
-    for t in np.linspace(0.0, 5.0, 11):
-        if not validate_cptp(se_single(float(t))).passed:
-            failures.append(f"emission channel fails completeness at t={t}")
-    for p in np.linspace(0.0, 1.0, 11):
-        if not validate_cptp(gp_single(float(p))).passed:
-            failures.append(f"depolarizing channel fails completeness at p={p}")
+    channels = [(f"SE(t={t:g})", se_single(float(t)), se_kraus(float(t)))
+                for t in np.linspace(0.0, 5.0, 11)]
+    channels += [(f"GP(p={p:g})", gp_single(float(p)), gp_kraus(float(p)))
+                 for p in np.linspace(0.0, 1.0, 11)]
+    for label, s, kraus in channels:
+        if not validate_cptp(kraus).passed:
+            failures.append(f"{label}: Kraus list fails completeness")
+        if not trace_preservation_deviation(s) <= STRUCTURAL_TOL:
+            failures.append(f"{label}: superoperator is not trace preserving")
+        if not complete_positivity_deviation(s) <= STRUCTURAL_TOL:
+            failures.append(f"{label}: superoperator is not completely positive")
 
-    for single in (se_single(0.7), gp_single(0.35)):
-        extended = extend_three(single)
+    for single, kraus in ((se_single(0.7), se_kraus(0.7)), (gp_single(0.35), gp_kraus(0.35))):
+        extended = extend_three(kraus)
         for _ in range(10):
             rho = random_density(rng, STATE_DIM)
             fast = apply_local_sequential(single, rho)
             slow = apply(extended, rho)
             dev = float(np.abs(fast - slow).max())
             if dev > 1e-10:
-                failures.append(f"{single.label}: local vs extended dev {dev:.3e}")
+                failures.append(f"{kraus.label}: local vs extended dev {dev:.3e}")
             if not is_density_matrix(fast):
-                failures.append(f"{single.label}: output violates density invariants")
+                failures.append(f"{kraus.label}: output violates density invariants")
 
     for _ in range(50):
         cfg = random_config(rng)

@@ -248,6 +248,15 @@ class TestVerifyCase:
         with pytest.raises(ValueError, match=match):
             verify_case(5, noise, gamma)
 
+    @pytest.mark.parametrize("noise,gamma,match", [
+        ([], [], "empty noise grid"),
+        ([0.5], [], "empty gamma grid"),
+        ([1.0, 0.5], [0.0], "noise grid must be strictly ascending"),
+    ])
+    def test_refuses_empty_or_descending_axis(self, noise, gamma, match):
+        with pytest.raises(ValueError, match=match):
+            verify_case(1, noise, gamma)
+
     def test_negative_control(self):
         # Case 3 with the wrong Bob move must not reproduce its closed form
         wrong = lambda case, x, g: play(case_config(case, x, g, bob="m1")).payoff

@@ -339,7 +339,7 @@ class TestVerify:
         # cripple the opening rule for b == a (leave the register alone
         # instead of cycling it): case 3 rides on exactly that branch
         import qmontyhall.game as game_module
-        from qmontyhall.linalg import STATE_DIM
+        from qmontyhall.channels import STATE_DIM
 
         broken = np.zeros((STATE_DIM, STATE_DIM), dtype=complex)
         for o in range(3):
@@ -401,7 +401,7 @@ class TestValidateChannel:
         lines = out.splitlines()
         assert len(lines) == 2
         assert all(line.endswith(" pass") for line in lines)
-        assert lines[0].startswith("single-qutrit") and lines[1].startswith("extended")
+        assert lines[0].startswith("single-qutrit") and lines[1].startswith("choi")
 
     def test_depolarizing(self, capsys):
         code, out, _ = run_cli(capsys, "validate-channel", "--channel", "gp",

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 import reference
 from conftest import haar_unitary, random_config, random_state, with_gamma
+from kraus import SHIFT
+from linalg import basis_ket, trace
 from reference import evolve
 
-from qmontyhall.channels import NoiseSpec
+from qmontyhall.channels import STATE_DIM, NoiseSpec
 from qmontyhall.game import (
     GameConfig,
     StrategyUnitary,
@@ -19,7 +21,6 @@ from qmontyhall.game import (
     switch_operator,
     win_projector,
 )
-from qmontyhall.linalg import STATE_DIM, basis_ket, trace
 
 
 def _identity_config(initial, gamma=0.0, noise=None):
@@ -213,6 +214,61 @@ class TestBranchProbabilities:
     def test_ignores_the_config_noise(self):
         cfg = _identity_config("psi2", noise=NoiseSpec.generalized_pauli(1.0))
         assert branch_probabilities(cfg)(NoiseSpec.none()) == pytest.approx((0.0, 1.0), abs=1e-12)
+
+
+class TestNoiseSymmetries:
+    """Oracles from the symmetries of the noise, on seeded Haar configurations.
+
+    Relabelling the boxes by the qutrit shift X maps (psi, A, B) to
+    (P psi, X A X†, X B X†) with P = I (x) X (x) X.  The open, switch and win
+    rules commute with relabelling every register, so the branch
+    probabilities are unchanged whenever the noise commutes with X, as GP
+    does; SE singles out |0> and does not.
+    """
+
+    @staticmethod
+    def _configs():
+        rng = np.random.default_rng(20261019)
+        for _ in range(8):
+            yield GameConfig(
+                initial=random_state(rng, STATE_DIM),
+                alice=StrategyUnitary(haar_unitary(rng, 3), name="haar-a"),
+                bob=StrategyUnitary(haar_unitary(rng, 3), name="haar-b"),
+                noise=NoiseSpec.none(),
+                gamma=0.0,
+            )
+
+    @staticmethod
+    def _relabelled(cfg):
+        p = np.kron(np.kron(np.eye(3), SHIFT), SHIFT)
+        return dataclasses.replace(
+            cfg,
+            initial=p @ cfg.initial,
+            alice=StrategyUnitary(SHIFT @ cfg.alice.matrix @ SHIFT.conj().T, name="x-a"),
+            bob=StrategyUnitary(SHIFT @ cfg.bob.matrix @ SHIFT.conj().T, name="x-b"),
+        )
+
+    def test_full_pauli_noise_gives_one_third(self):
+        for cfg in self._configs():
+            probabilities = branch_probabilities(cfg)(NoiseSpec.generalized_pauli(1.0))
+            np.testing.assert_allclose(probabilities, (1 / 3, 1 / 3), rtol=0, atol=1e-12)
+
+    def test_box_relabelling_under_pauli_noise(self):
+        for cfg in self._configs():
+            original = branch_probabilities(cfg)
+            relabelled = branch_probabilities(self._relabelled(cfg))
+            for p in (0.0, 0.35, 1.0):
+                noise = NoiseSpec.generalized_pauli(p)
+                np.testing.assert_allclose(relabelled(noise), original(noise),
+                                           rtol=0, atol=1e-12)
+
+    def test_box_relabelling_breaks_under_emission(self):
+        # negative control: the symmetry needs noise that commutes with X
+        noise = NoiseSpec.spontaneous_emission(0.7)
+        for cfg in self._configs():
+            original = branch_probabilities(cfg)(noise)
+            relabelled = branch_probabilities(self._relabelled(cfg))(noise)
+            assert np.abs(np.subtract(relabelled, original)).max() > 1e-3
 
 
 class TestPlay:

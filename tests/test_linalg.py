@@ -1,17 +1,11 @@
 import numpy as np
 import pytest
+import kraus
 from conftest import random_density
+from linalg import basis_ket, dagger, density_from_pure, is_density_matrix, is_unitary, trace
 
-from qmontyhall import channels, game
-from qmontyhall.linalg import (
-    STATE_DIM,
-    basis_ket,
-    dagger,
-    density_from_pure,
-    is_density_matrix,
-    is_unitary,
-    trace,
-)
+from qmontyhall import game
+from qmontyhall.channels import STATE_DIM
 
 
 class TestDagger:
@@ -20,7 +14,7 @@ class TestDagger:
 
     def test_clock(self):
         expected = np.diag([1.0, np.exp(-2j * np.pi / 3), np.exp(-4j * np.pi / 3)])
-        np.testing.assert_allclose(dagger(channels.CLOCK), expected, atol=1e-15)
+        np.testing.assert_allclose(dagger(kraus.CLOCK), expected, atol=1e-15)
 
     def test_involution(self, rng):
         a = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
@@ -37,7 +31,7 @@ class TestMatMul:
         np.testing.assert_array_equal(s @ s, np.eye(STATE_DIM))
 
     def test_shift_cubes_to_identity(self):
-        x = channels.SHIFT
+        x = kraus.SHIFT
         np.testing.assert_array_equal(x @ x @ x, np.eye(3))
 
 
@@ -73,7 +67,7 @@ class TestIsUnitary:
         assert is_unitary(game.builtin_strategy("h").matrix, 1e-9)
 
     def test_single_kraus_element_is_not(self):
-        k1 = channels.se_single(1.0).elements[1]
+        k1 = kraus.se_kraus(1.0).elements[1]
         assert not is_unitary(k1, 1e-10)
 
 
