@@ -29,10 +29,7 @@ from .game import (
     branch_probabilities,
     builtin_strategy,
     initial_state,
-    open_operator,
     play,
-    switch_operator,
-    win_projector,
 )
 
 __version__ = "0.1.0"
@@ -56,14 +53,11 @@ __all__ = [
     "gamma_coefficients",
     "gp_single",
     "initial_state",
-    "open_operator",
     "optimal_gamma",
     "play",
     "se_single",
     "simulate_case",
     "sweep",
-    "switch_operator",
     "threshold",
     "verify_case",
-    "win_projector",
 ]

@@ -275,21 +275,12 @@ def default_gamma_grid() -> np.ndarray:
     return np.linspace(0.0, math.pi / 2, DEFAULT_GRID_POINTS)
 
 
-def verify_case(
-    case: int,
-    noise_values=None,
-    gamma_values=None,
-    simulate: Callable[[int, float, float], float] | None = None,
-    tol: float = FORMULA_TOL,
-) -> VerifyReport:
-    """Max |simulated - closed form| over the grid, pass/fail at ``tol``;
+def verify_case(case: int, noise_values=None, gamma_values=None) -> VerifyReport:
+    """Max |simulated - closed form| over the grid, pass/fail at FORMULA_TOL;
     ValueError for an empty or not strictly ascending axis.
 
-    By default the case is compiled once and simulated once per noise value,
-    gamma entering as the weights cos^2 and sin^2 as in `play`.  ``simulate``
-    is injectable, and then called per point, so negative controls
-    (deliberately wrong configurations) can be pushed through the same
-    report path.
+    The case is compiled once and simulated once per noise value, gamma
+    entering as the weights cos^2 and sin^2 as in `play`.
     """
     if noise_values is None:
         noise_values = default_noise_grid(case)
@@ -300,18 +291,13 @@ def verify_case(
     noises = [NoiseSpec.of(case_spec(case).channel_kind, x) for x in noise_values]
     for g in gamma_values:
         check_gamma(g)
-    if simulate is None:
-        probabilities = branch_probabilities(case_config(case, 0.0, 0.0))
-        weights = [(math.cos(g) ** 2, math.sin(g) ** 2) for g in gamma_values]
-        rows = ([w_s * p_s + w_n * p_n for w_s, w_n in weights]
-                for p_s, p_n in map(probabilities, noises))
-    else:
-        rows = ([simulate(case, x, g) for g in gamma_values] for x in noise_values)
+    probabilities = branch_probabilities(case_config(case, 0.0, 0.0))
+    weights = [(math.cos(g) ** 2, math.sin(g) ** 2) for g in gamma_values]
+    rows = ([w_s * p_s + w_n * p_n for w_s, w_n in weights]
+            for p_s, p_n in map(probabilities, noises))
     worst = 0.0
     for x, row in zip(noise_values, rows):
         for g, value in zip(gamma_values, row):
             worst = max(worst, abs(value - _CASE_FORMULAS[case](x, g)))
-    points = len(noises) * len(gamma_values)
-    return VerifyReport(
-        case=case, max_abs_error=worst, tol=tol, passed=worst <= tol, points=points
-    )
+    return VerifyReport(case=case, max_abs_error=worst, tol=FORMULA_TOL,
+                        passed=worst <= FORMULA_TOL, points=len(noises) * len(gamma_values))

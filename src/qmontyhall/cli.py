@@ -120,12 +120,16 @@ def _range_shape(bounds: tuple[float, float, float]) -> tuple[int, bool]:
 
 
 def _range_values(bounds: tuple[float, float, float]) -> list[float]:
-    """Grid LO, LO+STEP, ..., ending exactly on HI when HI is included."""
+    """Grid LO, LO+STEP, ..., ending exactly on HI when HI is included;
+    refused when STEP is below the float spacing and values repeat."""
     lo, hi, step = bounds
     count, inclusive = _range_shape(bounds)
     values = [lo + i * step for i in range(count)]
     if inclusive:
         values[-1] = hi
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise CliError(EXIT_USAGE, f"range {lo!r}:{hi!r}:{step!r} repeats values: "
+                                   "STEP is below the float spacing")
     return values
 
 

@@ -6,7 +6,10 @@ Bob's chosen box, ``a`` the box hiding Alice's prize.  One round runs
     noise -> player unitaries (I x B x A) -> open -> switch or stay -> score
 
 where the final score is the probability that Bob's register matches the
-prize register.  Bob mixes his two classical final moves with a parameter
+prize register.  Open, final move and score act on basis states only, so
+each branch reduces to a 27-entry win indicator w (``WIN_SWITCH``,
+``WIN_STAY``) and the round to the effect M† diag(w) M with M = I x B x A.
+Bob mixes his two classical final moves with a parameter
 ``gamma``: the switch branch carries weight cos(gamma)^2 and the stay
 branch sin(gamma)^2, so gamma = 0 is pure switching.
 """
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -103,59 +105,21 @@ def initial_state(which: str) -> np.ndarray:
     return v
 
 
-def _frozen(m: np.ndarray) -> np.ndarray:
-    m.setflags(write=False)
-    return m
-
-
-@lru_cache(maxsize=None)
-def open_operator() -> np.ndarray:
-    """Host's box-opening permutation on |o, b, a>.
-
-    If b != a the host reveals the one box that is neither Bob's choice nor
-    the prize: o -> (x + o) mod 3 with x the element of {0,1,2}\\{a, b}.
-    If b == a either other box may be revealed; the opened register cycles
-    as o -> (o + a + 1) mod 3, which keeps the map a permutation.
-    """
-    m = np.zeros((STATE_DIM, STATE_DIM), dtype=complex)
-    for o in range(3):
-        for b in range(3):
-            for a in range(3):
-                if b != a:
-                    x = ({0, 1, 2} - {a, b}).pop()
-                    o2 = (x + o) % 3
-                else:
-                    o2 = (o + a + 1) % 3
-                m[9 * o2 + 3 * b + a, 9 * o + 3 * b + a] = 1.0
-    return _frozen(m)
-
-
-@lru_cache(maxsize=None)
-def switch_operator() -> np.ndarray:
-    """Bob's switching permutation on |o, b, a>.
-
-    When his current choice differs from the opened box he takes the one
-    remaining closed box: b -> {0,1,2}\\{o, b}.  When o == b there is no
-    well-defined box to switch away from and the state is left unchanged,
-    which makes the operator an involution.
-    """
-    m = np.zeros((STATE_DIM, STATE_DIM), dtype=complex)
-    for o in range(3):
-        for b in range(3):
-            for a in range(3):
-                b2 = ({0, 1, 2} - {o, b}).pop() if o != b else b
-                m[9 * o + 3 * b2 + a, 9 * o + 3 * b + a] = 1.0
-    return _frozen(m)
-
-
-@lru_cache(maxsize=None)
-def win_projector() -> np.ndarray:
-    """Diagonal projector onto the nine winning basis states (b == a)."""
-    m = np.zeros((STATE_DIM, STATE_DIM), dtype=complex)
-    for o in range(3):
-        for b in range(3):
-            m[9 * o + 3 * b + b, 9 * o + 3 * b + b] = 1.0
-    return _frozen(m)
+# The round's rules on the basis states |o, b, a>.  The host opens the box
+# that is neither Bob's choice nor the prize, shifted by o: (o - a - b) mod 3
+# when b != a; when b == a either other box may be opened and the register
+# cycles as (o + a + 1) mod 3.  Switching takes the one box that is neither
+# open nor chosen, 3 - opened - b, and keeps b when opened == b.  Bob wins
+# when his final box is the prize; opening moves neither b nor a, so staying
+# wins exactly when b == a.  Each entry is 1.0 where the basis state, taken
+# through the round, wins.
+_o, _b, _a = np.indices((3, 3, 3)).reshape(3, STATE_DIM)
+_opened = np.where(_b != _a, (_o - _a - _b) % 3, (_o + _a + 1) % 3)
+_final = np.where(_opened != _b, 3 - _opened - _b, _b)
+WIN_SWITCH = (_final == _a).astype(float)
+WIN_STAY = (_b == _a).astype(float)
+WIN_SWITCH.setflags(write=False)
+WIN_STAY.setflags(write=False)
 
 
 def check_gamma(gamma: float) -> None:
@@ -221,16 +185,15 @@ def branch_probabilities(cfg: GameConfig) -> Callable[[NoiseSpec], tuple[float, 
     """Compile cfg's state and moves; the result maps a noise to
     (p_switch, p_not_switch).
 
-    The moves, open, final move and win projector fold into one effect per
-    branch, E = G† W G, so p = Tr(E N(rho)) and only the noise N is applied
-    per call.  cfg's own noise and gamma are not used.
+    The moves and the branch's win indicator w fold into one effect per
+    branch, E = M† diag(w) M with M = I x B x A, so p = Tr(E N(rho)) and only
+    the noise N is applied per call.  cfg's own noise and gamma are not used.
     """
     v = cfg.initial_vector()
     rho = np.outer(v, v.conj())
     moves = np.kron(np.kron(np.eye(3, dtype=complex), cfg.bob.matrix), cfg.alice.matrix)
-    g_stay = open_operator() @ moves  # staying is the identity final move
-    g_switch = switch_operator() @ g_stay
-    effects = [g.conj().T @ win_projector() @ g for g in (g_switch, g_stay)]
+    # M† diag(w) M, with the columns of M† weighted by the win indicator
+    effects = [(moves.conj().T * w) @ moves for w in (WIN_SWITCH, WIN_STAY)]
 
     def probabilities(noise: NoiseSpec) -> tuple[float, float]:
         channel = single_channel(noise)

@@ -11,6 +11,7 @@ import numpy as np
 from conftest import random_config, random_density, with_gamma
 from kraus import apply, extend_three, gp_kraus, se_kraus, validate_cptp
 from linalg import basis_ket, density_from_pure, is_density_matrix
+from reference import open_operator, switch_operator
 
 from qmontyhall.analysis import (
     CASES,
@@ -30,12 +31,7 @@ from qmontyhall.channels import (
     se_single,
     trace_preservation_deviation,
 )
-from qmontyhall.game import (
-    initial_state,
-    open_operator,
-    play,
-    switch_operator,
-)
+from qmontyhall.game import initial_state, play
 
 LN2 = math.log(2.0)
 GAMMAS_21 = np.linspace(0.0, math.pi / 2, 21)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,8 +6,10 @@ import numpy as np
 import pytest
 from scipy.optimize import bisect
 
+from qmontyhall import analysis
 from qmontyhall.analysis import (
     CASES,
+    CaseSpec,
     NoSignChangeError,
     case_config,
     case_mixing_coefficient,
@@ -21,7 +24,8 @@ from qmontyhall.analysis import (
     threshold,
     verify_case,
 )
-from qmontyhall.game import play
+from qmontyhall.channels import NoiseSpec
+from qmontyhall.game import GameConfig, StrategyUnitary, branch_probabilities, play
 
 LN2 = math.log(2.0)
 
@@ -89,6 +93,17 @@ class TestClassicalReference:
         assert simulate_case(1, 0.0, math.pi / 2) == pytest.approx(
             float(classical_reference(False)), abs=1e-12
         )
+
+    def test_every_pair_of_permutation_moves(self):
+        # a classical move only relabels boxes, which leaves the uniform
+        # psi1 and so the classical payoffs unchanged
+        moves = [StrategyUnitary(np.eye(3)[list(p)], name="perm")
+                 for p in itertools.permutations(range(3))]
+        expected = (float(classical_reference(True)), float(classical_reference(False)))
+        for alice, bob in itertools.product(moves, moves):
+            cfg = GameConfig("psi1", alice, bob, NoiseSpec.none(), 0.0)
+            np.testing.assert_allclose(branch_probabilities(cfg)(NoiseSpec.none()), expected,
+                                       rtol=0, atol=1e-12)
 
 
 class TestGammaCoefficients:
@@ -257,10 +272,10 @@ class TestVerifyCase:
         with pytest.raises(ValueError, match=match):
             verify_case(1, noise, gamma)
 
-    def test_negative_control(self):
+    def test_negative_control(self, monkeypatch):
         # Case 3 with the wrong Bob move must not reproduce its closed form
-        wrong = lambda case, x, g: play(case_config(case, x, g, bob="m1")).payoff
-        report = verify_case(3, simulate=wrong)
+        monkeypatch.setitem(analysis.CASES, 3, CaseSpec("psi2", "id", "m1", "se"))
+        report = verify_case(3)
         assert not report.passed
         assert report.max_abs_error > 0.01
 

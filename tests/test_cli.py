@@ -215,6 +215,18 @@ class TestRangeGrammar:
     def test_degenerate(self):
         assert _range_values((0.5, 0.5, 1.0)) == [0.5]
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--case", "1", "--noise-range", "1000:1000.000000000001:1e-14",
+         "--gamma-range", "0:0:1"],
+        ["sweep", "--case", "1", "--noise-range", "0:0:1",
+         "--gamma-range", "1:1.0000000000000002:1e-17"],
+        ["verify", "--case", "6", "--noise-range", "0.5:0.5000000000000001:1e-18"],
+    ])
+    def test_step_below_float_spacing(self, capsys, argv):
+        # LO + i*STEP repeats values: a malformed range, not a domain error
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "float spacing" in err
+
 
 class TestSweep:
     def test_grid_shape_and_order(self, capsys):
@@ -337,21 +349,14 @@ class TestVerify:
 
     def test_broken_operator_is_caught(self, capsys, monkeypatch):
         # cripple the opening rule for b == a (leave the register alone
-        # instead of cycling it): case 3 rides on exactly that branch
+        # instead of cycling it): case 3 rides on exactly that branch, and
+        # of the two indicators only the switch one depends on the opening
         import qmontyhall.game as game_module
-        from qmontyhall.channels import STATE_DIM
 
-        broken = np.zeros((STATE_DIM, STATE_DIM), dtype=complex)
-        for o in range(3):
-            for b in range(3):
-                for a in range(3):
-                    if b != a:
-                        x = ({0, 1, 2} - {a, b}).pop()
-                        o2 = (x + o) % 3
-                    else:
-                        o2 = o
-                    broken[9 * o2 + 3 * b + a, 9 * o + 3 * b + a] = 1.0
-        monkeypatch.setattr(game_module, "open_operator", lambda: broken)
+        o, b, a = np.indices((3, 3, 3)).reshape(3, 27)
+        opened = np.where(b != a, (o - a - b) % 3, o)
+        final = np.where(opened != b, 3 - opened - b, b)
+        monkeypatch.setattr(game_module, "WIN_SWITCH", (final == a).astype(float))
         code, out, _ = run_cli(capsys, "verify", "--case", "3")
         assert code == 1
         assert out.startswith("case 3: max_err=") and out.rstrip().endswith(" fail")

@@ -81,16 +81,22 @@ COMMANDS = {
                               _maybe("--a2", NUMBERS)),
 }
 
-# Lines that crashed, hung, printed NaN, accepted a reversed bracket or left
-# partial output before an error; every run checks them besides the drawn ones.
+# Lines that crashed, hung, printed NaN, accepted a reversed bracket, left
+# partial output before an error or called a range whose STEP is below the
+# float spacing a domain error; every run checks them besides the drawn ones.
 KNOWN_DEFECTS = {
     "payoff": [["payoff", "--state", "psi1", "--channel", "se", "--a1", "inf", "--noise", "0"]],
     "sweep": [["sweep", "--case", "1", "--noise-range", r, "--gamma-range", "0:1:0.5"]
               for r in ("0:nan:0.1", "0:inf:0.1", "0:1:nan", "0:1e9:1e-3")]
     + [["sweep", "--case", "1", "--noise-range", "0:1:0.5", "--gamma-range", "0:1:0.5",
-        "--out", "/nonexistent-dir/table.csv"]],
+        "--out", "/nonexistent-dir/table.csv"],
+       ["sweep", "--case", "1", "--noise-range", "1000:1000.000000000001:1e-14",
+        "--gamma-range", "0:0:1"],
+       ["sweep", "--case", "1", "--noise-range", "0:0:1",
+        "--gamma-range", "1:1.0000000000000002:1e-17"]],
     "verify": [["verify", "--case", "1", "--noise-range", "0:1e9:1e-3", "--gamma-range", "0:0:1"],
-               ["verify", "--case", "all", "--noise-range", "0:3:1.5", "--gamma-range", "0:0:1"]],
+               ["verify", "--case", "all", "--noise-range", "0:3:1.5", "--gamma-range", "0:0:1"],
+               ["verify", "--case", "6", "--noise-range", "0.5:0.5000000000000001:1e-18"]],
     "threshold": [["threshold", "--case", "1", "--lo", "0.01", "--hi", "1e40"],
                   ["threshold", "--case", "1", "--lo", "3", "--hi", "0.01"]],
     "validate-channel": [["validate-channel", "--channel", "se", "--noise", "0", "--a1", "inf"]],

@@ -5,21 +5,22 @@ import numpy as np
 import pytest
 import reference
 from conftest import haar_unitary, random_config, random_state, with_gamma
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from kraus import SHIFT
 from linalg import basis_ket, trace
-from reference import evolve
+from reference import evolve, open_operator, switch_operator, win_projector
 
 from qmontyhall.channels import STATE_DIM, NoiseSpec
 from qmontyhall.game import (
+    WIN_STAY,
+    WIN_SWITCH,
     GameConfig,
     StrategyUnitary,
     branch_probabilities,
     builtin_strategy,
     initial_state,
-    open_operator,
     play,
-    switch_operator,
-    win_projector,
 )
 
 
@@ -30,6 +31,17 @@ def _identity_config(initial, gamma=0.0, noise=None):
         bob=builtin_strategy("id"),
         noise=noise or NoiseSpec.none(),
         gamma=gamma,
+    )
+
+
+def _haar_config(rng) -> GameConfig:
+    """Random 27-dim state and Haar moves, no noise, random gamma."""
+    return GameConfig(
+        initial=random_state(rng, STATE_DIM),
+        alice=StrategyUnitary(haar_unitary(rng, 3), name="haar-a"),
+        bob=StrategyUnitary(haar_unitary(rng, 3), name="haar-b"),
+        noise=NoiseSpec.none(),
+        gamma=float(rng.uniform(0.0, math.pi / 2)),
     )
 
 
@@ -164,6 +176,25 @@ class TestWinProjector:
         np.testing.assert_array_equal(p @ p, p)
 
 
+class TestWinIndicators:
+    """The production rules are the diagonals of the oracle's G† W G."""
+
+    @pytest.mark.parametrize("indicator,final_move", [
+        (WIN_SWITCH, switch_operator),
+        (WIN_STAY, lambda: np.eye(STATE_DIM)),
+    ])
+    def test_equal_the_oracle_effect_diagonal(self, indicator, final_move):
+        g = final_move() @ open_operator()
+        effect = g.conj().T @ win_projector() @ g
+        np.testing.assert_array_equal(np.diag(effect), indicator)
+        np.testing.assert_array_equal(effect - np.diag(np.diag(effect)), 0.0)
+
+    def test_read_only(self):
+        for indicator in (WIN_SWITCH, WIN_STAY):
+            with pytest.raises(ValueError):
+                indicator[0] = 0.0
+
+
 class TestEvolve:
     def test_uncorrelated_baseline(self):
         rho_s, rho_n = evolve(_identity_config("psi1"))
@@ -189,27 +220,28 @@ class TestBranchProbabilities:
         NoiseSpec.generalized_pauli(0.35),
     )
 
+    def _check_against_reference(self, cfg):
+        probabilities = branch_probabilities(cfg)
+        for noise in self.NOISES:
+            noisy = dataclasses.replace(cfg, noise=noise)
+            expected = reference.branch_probabilities(noisy)
+            np.testing.assert_allclose(probabilities(noise), expected, rtol=0, atol=1e-12)
+            outcome = play(noisy)
+            np.testing.assert_allclose((outcome.p_switch, outcome.p_not_switch),
+                                       expected, rtol=0, atol=1e-12)
+            mixed = (math.cos(cfg.gamma) ** 2 * expected[0]
+                     + math.sin(cfg.gamma) ** 2 * expected[1])
+            assert outcome.payoff == pytest.approx(mixed, abs=1e-12)
+
     def test_matches_schrodinger_reference(self):
         rng = np.random.default_rng(20261019)
         for _ in range(8):
-            cfg = GameConfig(
-                initial=random_state(rng, STATE_DIM),
-                alice=StrategyUnitary(haar_unitary(rng, 3), name="haar-a"),
-                bob=StrategyUnitary(haar_unitary(rng, 3), name="haar-b"),
-                noise=NoiseSpec.none(),
-                gamma=float(rng.uniform(0.0, math.pi / 2)),
-            )
-            probabilities = branch_probabilities(cfg)
-            for noise in self.NOISES:
-                noisy = dataclasses.replace(cfg, noise=noise)
-                expected = reference.branch_probabilities(noisy)
-                np.testing.assert_allclose(probabilities(noise), expected, rtol=0, atol=1e-12)
-                outcome = play(noisy)
-                np.testing.assert_allclose((outcome.p_switch, outcome.p_not_switch),
-                                           expected, rtol=0, atol=1e-12)
-                mixed = (math.cos(cfg.gamma) ** 2 * expected[0]
-                         + math.sin(cfg.gamma) ** 2 * expected[1])
-                assert outcome.payoff == pytest.approx(mixed, abs=1e-12)
+            self._check_against_reference(_haar_config(rng))
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_schrodinger_reference_on_drawn_seeds(self, seed):
+        self._check_against_reference(_haar_config(np.random.default_rng(seed)))
 
     def test_ignores_the_config_noise(self):
         cfg = _identity_config("psi2", noise=NoiseSpec.generalized_pauli(1.0))
@@ -269,6 +301,27 @@ class TestNoiseSymmetries:
             original = branch_probabilities(cfg)(noise)
             relabelled = branch_probabilities(self._relabelled(cfg))(noise)
             assert np.abs(np.subtract(relabelled, original)).max() > 1e-3
+
+    @staticmethod
+    def _noise_after_moves(cfg, noise):
+        noisy = dataclasses.replace(cfg, noise=noise)
+        return [reference.win_probability(r) for r in reference.evolve_noise_after_moves(noisy)]
+
+    def test_pauli_noise_commutes_with_the_moves(self):
+        for cfg in self._configs():
+            probabilities = branch_probabilities(cfg)
+            for p in (0.0, 0.35, 1.0):
+                noise = NoiseSpec.generalized_pauli(p)
+                np.testing.assert_allclose(probabilities(noise),
+                                           self._noise_after_moves(cfg, noise), rtol=0, atol=1e-12)
+
+    def test_emission_does_not_commute_with_the_moves(self):
+        # negative control: SE singles out |0>, which the moves rotate away
+        noise = NoiseSpec.spontaneous_emission(0.7)
+        for cfg in self._configs():
+            moved = np.subtract(branch_probabilities(cfg)(noise),
+                                self._noise_after_moves(cfg, noise))
+            assert np.abs(moved).max() > 0.05
 
 
 class TestPlay:

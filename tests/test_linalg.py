@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import kraus
+import reference
 from conftest import random_density
 from linalg import basis_ket, dagger, density_from_pure, is_density_matrix, is_unitary, trace
 
@@ -23,11 +24,11 @@ class TestDagger:
 
 class TestMatMul:
     def test_identity(self):
-        o = game.open_operator()
+        o = reference.open_operator()
         np.testing.assert_array_equal(np.eye(STATE_DIM) @ o, o)
 
     def test_switch_is_involution(self):
-        s = game.switch_operator()
+        s = reference.switch_operator()
         np.testing.assert_array_equal(s @ s, np.eye(STATE_DIM))
 
     def test_shift_cubes_to_identity(self):
