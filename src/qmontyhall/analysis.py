@@ -26,6 +26,9 @@ from .game import GameConfig, branch_probabilities, builtin_strategy, check_gamm
 # Tolerance for simulated-payoff vs closed-form comparisons.
 FORMULA_TOL = 1e-9
 
+# |c1| up to which `optimal_gamma` calls the two final moves equally good.
+INDIFFERENCE_TOL = 1e-12
+
 
 class NoSignChangeError(ValueError):
     """The bisection bracket does not straddle a strategy crossover."""
@@ -103,14 +106,13 @@ def closed_form_payoff(case: int, noise: float, gamma: float) -> float:
     return _CASE_FORMULAS[case](noise, gamma)
 
 
-def case_config(case: int, noise: float, gamma: float, bob: str | None = None) -> GameConfig:
-    """The GameConfig a case denotes; ``bob`` overrides the canonical Bob
-    move (case 5 accepts id, m1 or m2 interchangeably)."""
+def case_config(case: int, noise: float, gamma: float) -> GameConfig:
+    """The GameConfig a case denotes."""
     spec = case_spec(case)
     return GameConfig(
         initial=spec.initial,
         alice=builtin_strategy(spec.alice),
-        bob=builtin_strategy(bob if bob is not None else spec.bob),
+        bob=builtin_strategy(spec.bob),
         noise=NoiseSpec.of(spec.channel_kind, noise),
         gamma=gamma,
     )
@@ -161,30 +163,31 @@ def gamma_coefficients(
     return c0, c1
 
 
-def optimal_gamma(c1: float, tol: float = 1e-12) -> tuple[float, str]:
+def optimal_gamma(c1: float) -> tuple[float, str]:
     """Best pure classical move given the cos(2*gamma) coefficient.
 
     Positive c1 favours gamma = 0 (switch), negative favours gamma = pi/2
-    (stay); |c1| <= tol means the payoff does not depend on gamma.
+    (stay); |c1| <= INDIFFERENCE_TOL means the payoff does not depend on gamma.
     """
-    if c1 > tol:
+    if c1 > INDIFFERENCE_TOL:
         return 0.0, "switch"
-    if c1 < -tol:
+    if c1 < -INDIFFERENCE_TOL:
         return math.pi / 2, "not_switch"
     return 0.0, "indifferent"
 
 
-def case_mixing_coefficient(case: int, noise: float) -> float:
-    """c1 of the case at the given noise, from one simulated round."""
-    return play(case_config(case, noise, 0.0)).mixing_coefficient
-
-
 def threshold(case: int, lo: float, hi: float) -> float:
-    """Noise value where the optimal classical move flips: bisection on the
-    simulated cos(2*gamma) coefficient over a sign change in [lo, hi], lo < hi."""
+    """Noise value in [lo, hi] where the optimal classical move flips, by
+    scipy.optimize.bisect's steps to 1e-10 on c1 = (p_switch - p_not_switch)/2;
+    the case is compiled once, as in `verify_case`, and each step applies only the noise."""
     if not lo < hi:
         raise ValueError(f"bracket [{lo}, {hi}] is empty or runs backwards")
-    f = lambda x: case_mixing_coefficient(case, x)
+    kind = case_spec(case).channel_kind
+    probabilities = branch_probabilities(case_config(case, 0.0, 0.0))
+
+    def f(x: float) -> float:
+        p_switch, p_not_switch = probabilities(NoiseSpec.of(kind, x))
+        return (p_switch - p_not_switch) / 2.0
     f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0:
         return lo

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import analysis
+from . import analysis, game
 from .channels import (
     STATE_DIM,
     STRUCTURAL_TOL,
@@ -187,25 +187,27 @@ def _complex_array_from_file(path: str, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _resolve_strategy(token: str) -> StrategyUnitary:
-    if token.lower() in ("id", "identity", "m1", "m2", "h"):
+    """A built-in move by name, else a strategy file (a name wins over a file)."""
+    if token.lower() in game.STRATEGY_NAMES:
         return builtin_strategy(token)
     return parse_strategy_file(token)
 
 
 def _apply_case(args, parser: argparse.ArgumentParser) -> None:
-    """``--case k`` is shorthand for case k's --state/--alice/--bob/--channel."""
-    if args.case is None:
-        return
-    defaults = {"state": None, "alice": "id", "bob": "id", "channel": "none",
-                "a1": 1.0, "a2": 1.0}
-    clashes = [f"--{name}" for name, default in defaults.items()
-               if getattr(args, name) != default]
-    if clashes:
-        parser.error(f"--case cannot be combined with {', '.join(clashes)}")
-    with _domain():
-        spec = analysis.case_spec(args.case)
-    args.state, args.alice, args.bob, args.channel = (
-        spec.initial, spec.alice, spec.bob, spec.channel_kind)
+    """``--case k`` is shorthand for case k's --state/--alice/--bob/--channel
+    and excludes them all; then every flag still unset takes its default."""
+    defaults = {"alice": "id", "bob": "id", "channel": "none", "a1": 1.0, "a2": 1.0}
+    if args.case is not None:
+        clashes = [f"--{name}" for name in ("state", *defaults) if getattr(args, name) is not None]
+        if clashes:
+            parser.error(f"--case cannot be combined with {', '.join(clashes)}")
+        with _domain():
+            spec = analysis.case_spec(args.case)
+        args.state, args.alice, args.bob, args.channel = (
+            spec.initial, spec.alice, spec.bob, spec.channel_kind)
+    for name, default in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
 
 
 def _config_builder(args) -> Callable[[float | None, float], GameConfig]:
@@ -213,7 +215,7 @@ def _config_builder(args) -> Callable[[float | None, float], GameConfig]:
     at a given (noise, gamma)."""
     if args.state is None:
         raise CliError(EXIT_USAGE, "either --case or --state is required")
-    initial = args.state if args.state in ("psi1", "psi2") else parse_state_file(args.state)
+    initial = args.state if args.state in game.STATE_NAMES else parse_state_file(args.state)
     alice, bob = _resolve_strategy(args.alice), _resolve_strategy(args.bob)
 
     def build(noise: float | None, gamma: float) -> GameConfig:
@@ -254,8 +256,6 @@ def _cmd_payoff(args, parser) -> int:
 
 
 def _cmd_sweep(args, parser) -> int:
-    if args.noise is not None:
-        raise CliError(EXIT_USAGE, "--noise conflicts with --noise-range")
     _apply_case(args, parser)
     build = _config_builder(args)
     if args.channel == "none":
@@ -329,21 +329,14 @@ def _cmd_validate_channel(args, parser) -> int:
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--case", type=int, default=None,
-                     help="named configuration 1..7 (excludes the explicit flags)")
-    sub.add_argument("--state", default=None,
-                     help="psi1, psi2, or a JSON state file")
-    sub.add_argument("--alice", default="id",
-                     help="id, h, or a JSON strategy file")
-    sub.add_argument("--bob", default="id",
-                     help="id, m1, m2, or a JSON strategy file")
-    sub.add_argument("--channel", choices=("none", "se", "gp"), default="none")
-    sub.add_argument("--noise", type=float, default=None,
-                     help="time t (se) or error probability p (gp)")
-    sub.add_argument("--a1", type=float, default=1.0,
-                     help="Einstein coefficient of level 1 (se only)")
-    sub.add_argument("--a2", type=float, default=1.0,
-                     help="Einstein coefficient of level 2 (se only)")
+    # no defaults here, so that a flag given next to --case shows; see _apply_case
+    sub.add_argument("--case", type=int, help="named case 1..7 (excludes the explicit flags)")
+    sub.add_argument("--state", help="psi1, psi2, or a JSON state file")
+    sub.add_argument("--alice", help="id (default), h, or a JSON strategy file")
+    sub.add_argument("--bob", help="id (default), m1, m2, or a JSON strategy file")
+    sub.add_argument("--channel", choices=("none", "se", "gp"), help="default none")
+    sub.add_argument("--a1", type=float, help="Einstein coefficient A1 (se only, default 1)")
+    sub.add_argument("--a2", type=float, help="Einstein coefficient A2 (se only, default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,6 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_payoff = sub.add_parser("payoff", help="evaluate one game, JSON to stdout")
     _add_config_flags(p_payoff)
+    p_payoff.add_argument("--noise", type=float, default=None,
+                          help="time t (se) or error probability p (gp)")
     p_payoff.add_argument("--gamma", type=_parse_gamma, default=0.0,
                           help="switch/stay mixing angle in radians (or pi/2)")
     p_payoff.set_defaults(handler=_cmd_payoff)

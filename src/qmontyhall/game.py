@@ -76,14 +76,16 @@ _BUILTIN_STRATEGIES = {
     "m2": _M2,
     "h": _H,
 }
+STRATEGY_NAMES = frozenset(_BUILTIN_STRATEGIES)
+STATE_NAMES = ("psi1", "psi2")  # the canonical initial states, see `initial_state`
 
 
 def builtin_strategy(name: str) -> StrategyUnitary:
     """One of the named moves: "identity"/"id", "m1", "m2" or "h"."""
     key = name.lower()
-    if key not in _BUILTIN_STRATEGIES:
+    if key not in STRATEGY_NAMES:
         raise ValueError(f"unknown strategy {name!r}, expected one of "
-                         f"{sorted(set(_BUILTIN_STRATEGIES))}")
+                         f"{sorted(STRATEGY_NAMES)}")
     return StrategyUnitary(_BUILTIN_STRATEGIES[key], name=key)
 
 
@@ -154,8 +156,7 @@ class GameConfig:
     def __post_init__(self):
         check_gamma(self.gamma)
         if isinstance(self.initial, str):
-            if self.initial not in ("psi1", "psi2"):
-                raise ValueError(f"unknown initial state {self.initial!r}")
+            initial_state(self.initial)  # ValueError for an unknown name
         else:
             object.__setattr__(self, "initial", check_state(self.initial))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from qmontyhall.channels import NoiseSpec
-from qmontyhall.game import GameConfig, StrategyUnitary
+from qmontyhall.game import GameConfig, StrategyUnitary, builtin_strategy
 from qmontyhall.channels import STATE_DIM
 
 SEED = 20260810
@@ -73,3 +74,8 @@ def with_gamma(cfg: GameConfig, gamma: float) -> GameConfig:
     return GameConfig(
         initial=cfg.initial, alice=cfg.alice, bob=cfg.bob, noise=cfg.noise, gamma=gamma
     )
+
+
+def with_bob(cfg: GameConfig, bob: str) -> GameConfig:
+    """cfg with Bob's move replaced by the named built-in one."""
+    return dataclasses.replace(cfg, bob=builtin_strategy(bob))

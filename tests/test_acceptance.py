@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 import numpy as np
-from conftest import random_config, random_density, with_gamma
+from conftest import random_config, random_density, with_bob, with_gamma
 from kraus import apply, extend_three, gp_kraus, se_kraus, validate_cptp
 from linalg import basis_ket, density_from_pure, is_density_matrix
 from reference import open_operator, switch_operator
@@ -211,8 +211,8 @@ def test_criterion_6_structural_properties():
 def test_criterion_7_strategy_degeneracies():
     failures = []
     worst2 = max(
-        abs(play(case_config(2, x, g, bob="m1")).payoff
-            - play(case_config(2, x, g, bob="m2")).payoff)
+        abs(play(with_bob(case_config(2, x, g), "m1")).payoff
+            - play(with_bob(case_config(2, x, g), "m2")).payoff)
         for x in _case_grid(2)
         for g in GAMMAS_21
     )
@@ -222,7 +222,7 @@ def test_criterion_7_strategy_degeneracies():
     worst5 = 0.0
     for x in _case_grid(5):
         for g in GAMMAS_21:
-            values = [play(case_config(5, x, g, bob=bob)).payoff
+            values = [play(with_bob(case_config(5, x, g), bob)).payoff
                       for bob in ("id", "m1", "m2")]
             worst5 = max(worst5, max(values) - min(values))
     if worst5 > 1e-12:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import with_bob
 from scipy.optimize import bisect
 
 from qmontyhall import analysis
@@ -12,7 +13,6 @@ from qmontyhall.analysis import (
     CaseSpec,
     NoSignChangeError,
     case_config,
-    case_mixing_coefficient,
     classical_reference,
     closed_form_payoff,
     default_gamma_grid,
@@ -28,6 +28,12 @@ from qmontyhall.channels import NoiseSpec
 from qmontyhall.game import GameConfig, StrategyUnitary, branch_probabilities, play
 
 LN2 = math.log(2.0)
+
+
+def per_play_c1(case, noise):
+    """c1 of the case from one full round, independent of `threshold`'s
+    compiled path."""
+    return play(case_config(case, noise, 0.0)).mixing_coefficient
 
 
 class TestClosedForm:
@@ -142,23 +148,21 @@ class TestGammaCoefficients:
         # coefficient fitted from three rounds at different gamma
         for noise in rng.uniform(0.0, 3.0 if CASES[case].channel_kind == "se" else 1.0, 3):
             fitted = gamma_coefficients(lambda g: simulate_case(case, float(noise), g))[1]
-            assert case_mixing_coefficient(case, float(noise)) == pytest.approx(
-                fitted, abs=1e-12
-            )
+            assert per_play_c1(case, float(noise)) == pytest.approx(fitted, abs=1e-12)
 
 
 class TestOptimalGamma:
     def test_low_noise_favours_switching(self):
-        c1 = case_mixing_coefficient(1, 0.2)
+        c1 = per_play_c1(1, 0.2)
         assert optimal_gamma(c1) == (0.0, "switch")
 
     def test_high_noise_flips_to_staying(self):
-        c1 = case_mixing_coefficient(1, 1.0)
+        c1 = per_play_c1(1, 1.0)
         gamma_star, label = optimal_gamma(c1)
         assert (gamma_star, label) == (math.pi / 2, "not_switch")
 
     def test_noisy_correlated_state_switches(self):
-        assert optimal_gamma(case_mixing_coefficient(6, 0.9))[1] == "switch"
+        assert optimal_gamma(per_play_c1(6, 0.9))[1] == "switch"
 
     def test_indifferent(self):
         assert optimal_gamma(0.0) == (0.0, "indifferent")
@@ -189,9 +193,29 @@ class TestThreshold:
         (6, 0.01, 0.99), (6, 0.1, 0.99), (6, 0.6, 0.7),
     ])
     def test_same_float_as_scipy_bisect(self, case, lo, hi):
-        f = lambda x: case_mixing_coefficient(case, x)
+        f = lambda x: per_play_c1(case, x)
         expected = bisect(f, lo, hi, xtol=1e-10, maxiter=1100)
         assert threshold(case, lo, hi) == expected
+
+    def test_compiles_once(self, monkeypatch):
+        # counted through both bindings, so a per-step `play` would show too
+        import qmontyhall.game as game
+
+        compiles = []
+        original = game.branch_probabilities
+
+        def counted(cfg):
+            compiles.append(cfg)
+            return original(cfg)
+
+        monkeypatch.setattr(game, "branch_probabilities", counted)
+        monkeypatch.setattr(analysis, "branch_probabilities", counted)
+        per_call = []
+        for case, lo, hi in [(1, 0.01, 3.0), (6, 0.01, 0.99)]:
+            compiles.clear()
+            threshold(case, lo, hi)
+            per_call.append(len(compiles))
+        assert per_call == [1, 1]
 
 
 class TestSweep:
@@ -284,18 +308,15 @@ class TestDegeneracies:
     def test_shuffles_are_equivalent_under_emission(self):
         for x in np.linspace(0.0, 3.0, 7):
             for g in np.linspace(0.0, math.pi / 2, 5):
-                values = [
-                    play(case_config(2, x, g, bob=bob)).payoff for bob in ("m1", "m2")
-                ]
+                values = [play(with_bob(case_config(2, x, g), bob)).payoff
+                          for bob in ("m1", "m2")]
                 assert values[0] == pytest.approx(values[1], abs=1e-12)
 
     def test_choice_shuffles_are_invisible_to_depolarizing(self):
         for x in np.linspace(0.0, 1.0, 5):
             for g in np.linspace(0.0, math.pi / 2, 5):
-                values = [
-                    play(case_config(5, x, g, bob=bob)).payoff
-                    for bob in ("id", "m1", "m2")
-                ]
+                values = [play(with_bob(case_config(5, x, g), bob)).payoff
+                          for bob in ("id", "m1", "m2")]
                 assert max(values) - min(values) <= 1e-12
 
 

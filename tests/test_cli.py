@@ -100,6 +100,17 @@ class TestPayoff:
                                "--state", "psi1")
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("command", ["payoff", "sweep"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--state", "psi2"), ("--alice", "id"), ("--bob", "id"), ("--channel", "none"),
+        ("--channel", "se"), ("--a1", "1"), ("--a2", "1"),
+    ])
+    def test_case_excludes_each_flag_even_at_its_default(self, capsys, command, flag, value):
+        tail = (["--noise", "0.5"] if command == "payoff"
+                else ["--noise-range", "0:1:1", "--gamma-range", "0:0:1"])
+        code, out, err = run_cli(capsys, command, "--case", "4", flag, value, *tail)
+        assert code == 2 and out == "" and f"--case cannot be combined with {flag}" in err
+
     def test_noise_domain(self, capsys):
         code, out, err = run_cli(capsys, "payoff", "--case", "6", "--noise", "1.5")
         assert code == 4 and out == "" and "probability" in err

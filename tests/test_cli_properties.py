@@ -82,10 +82,13 @@ COMMANDS = {
 }
 
 # Lines that crashed, hung, printed NaN, accepted a reversed bracket, left
-# partial output before an error or called a range whose STEP is below the
-# float spacing a domain error; every run checks them besides the drawn ones.
+# partial output before an error, called a range whose STEP is below the
+# float spacing a domain error or ran --case next to an explicit flag that
+# held its default value; every run checks them besides the drawn ones.
 KNOWN_DEFECTS = {
-    "payoff": [["payoff", "--state", "psi1", "--channel", "se", "--a1", "inf", "--noise", "0"]],
+    "payoff": [["payoff", "--state", "psi1", "--channel", "se", "--a1", "inf", "--noise", "0"],
+               ["payoff", "--case", "4", "--noise", "0.5", "--alice", "id"],
+               ["payoff", "--case", "1", "--noise", "0.5", "--channel", "none"]],
     "sweep": [["sweep", "--case", "1", "--noise-range", r, "--gamma-range", "0:1:0.5"]
               for r in ("0:nan:0.1", "0:inf:0.1", "0:1:nan", "0:1e9:1e-3")]
     + [["sweep", "--case", "1", "--noise-range", "0:1:0.5", "--gamma-range", "0:1:0.5",
@@ -93,7 +96,9 @@ KNOWN_DEFECTS = {
        ["sweep", "--case", "1", "--noise-range", "1000:1000.000000000001:1e-14",
         "--gamma-range", "0:0:1"],
        ["sweep", "--case", "1", "--noise-range", "0:0:1",
-        "--gamma-range", "1:1.0000000000000002:1e-17"]],
+        "--gamma-range", "1:1.0000000000000002:1e-17"],
+       ["sweep", "--case", "6", "--bob", "id", "--noise-range", "0:1:0.5",
+        "--gamma-range", "0:0:1"]],
     "verify": [["verify", "--case", "1", "--noise-range", "0:1e9:1e-3", "--gamma-range", "0:0:1"],
                ["verify", "--case", "all", "--noise-range", "0:3:1.5", "--gamma-range", "0:0:1"],
                ["verify", "--case", "6", "--noise-range", "0.5:0.5000000000000001:1e-18"]],
