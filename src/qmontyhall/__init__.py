@@ -16,7 +16,6 @@ from .analysis import (
     closed_form_payoff,
     gamma_coefficients,
     optimal_gamma,
-    simulate_case,
     sweep,
     threshold,
     verify_case,
@@ -56,7 +55,6 @@ __all__ = [
     "optimal_gamma",
     "play",
     "se_single",
-    "simulate_case",
     "sweep",
     "threshold",
     "verify_case",

@@ -14,6 +14,8 @@ switch (gamma = 0), negative means stay (gamma = pi/2).
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -21,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .channels import NoiseSpec
-from .game import GameConfig, branch_probabilities, builtin_strategy, check_gamma, play
+from .game import GameConfig, branch_probabilities, builtin_strategy, check_gamma
 
 # Tolerance for simulated-payoff vs closed-form comparisons.
 FORMULA_TOL = 1e-9
@@ -118,11 +120,6 @@ def case_config(case: int, noise: float, gamma: float) -> GameConfig:
     )
 
 
-def simulate_case(case: int, noise: float, gamma: float) -> float:
-    """Run the case through the full matrix pipeline and return the payoff."""
-    return play(case_config(case, noise, gamma)).payoff
-
-
 def classical_reference(switch: bool) -> Fraction:
     """Exact classical payoff by enumerating the 9 equally likely
     (prize, first choice) pairs; the host opens a non-prize, non-chosen box
@@ -211,24 +208,67 @@ def threshold(case: int, lo: float, hi: float) -> float:
     return mid
 
 
+class SweepRows(Sequence):
+    """A `SweepTable`'s (noise, gamma, payoff) triples in noise-major order,
+    made as they are read; it compares, hashes and prints as the tuple of
+    tuples it stands for."""
+
+    __slots__ = ("_noise", "_gamma", "_payoffs")
+
+    def __init__(self, noise_values, gamma_values, payoffs):
+        self._noise, self._gamma, self._payoffs = noise_values, gamma_values, payoffs
+
+    def __len__(self) -> int:
+        return len(self._payoffs)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(*index.indices(len(self)))))
+        payoff = self._payoffs[index]  # IndexError, or a negative index, as a tuple's
+        x, g = divmod(index % len(self), len(self._gamma))
+        return self._noise[x], self._gamma[g], payoff
+
+    def __iter__(self):
+        payoffs = iter(self._payoffs)
+        return ((x, g, next(payoffs)) for x in self._noise for g in self._gamma)
+
+    def __eq__(self, other):
+        if isinstance(other, (SweepRows, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class SweepTable:
-    """Payoffs on a (noise, gamma) grid, rows in noise-major order."""
+    """Payoffs on a (noise, gamma) grid: one float64 per point, noise-major."""
 
     noise_values: tuple[float, ...]
     gamma_values: tuple[float, ...]
-    rows: tuple[tuple[float, float, float], ...]
+    payoffs: array
 
     def __post_init__(self):
-        if len(self.rows) != len(self.noise_values) * len(self.gamma_values):
+        if len(self.payoffs) != len(self.noise_values) * len(self.gamma_values):
             raise ValueError("row count does not match the grid")
-        for _, _, payoff in self.rows:
+        for payoff in self.payoffs:
             if not -1e-12 <= payoff <= 1.0 + 1e-12:
                 raise ValueError(f"payoff {payoff} outside [0, 1]")
 
+    @property
+    def rows(self) -> SweepRows:
+        """The (noise, gamma, payoff) triples, as Python floats."""
+        return SweepRows(self.noise_values, self.gamma_values, self.payoffs)
+
 
 def _check_grid(values, name: str) -> tuple[float, ...]:
-    values = tuple(float(v) for v in values)
+    # a tuple of floats is kept as it is, so a table shares its caller's grid
+    if not (type(values) is tuple and all(type(v) is float for v in values)):
+        values = tuple(float(v) for v in values)
     if not values:
         raise ValueError(f"empty {name} grid")
     if any(b <= a for a, b in zip(values, values[1:])):
@@ -236,23 +276,49 @@ def _check_grid(values, name: str) -> tuple[float, ...]:
     return values
 
 
+def _payoff_grid(cfg: GameConfig, noise_values, gamma_values) -> np.ndarray:
+    """cfg's payoffs at every (noise, gamma), shape (noise, gamma), with
+    cfg's noise family and Einstein coefficients on the noise axis.
+
+    Every axis value is checked before anything is evaluated.  The state and
+    moves are compiled once and the noise applied once per noise value; gamma
+    enters as the weights cos^2 and sin^2, by the arithmetic of `play`.
+    """
+    noise = cfg.noise
+    if noise.kind == "none":
+        raise ValueError("a noise axis needs noise of kind 'se' or 'gp'")
+    noises = [NoiseSpec.of(noise.kind, x, noise.a1, noise.a2) for x in noise_values]
+    for g in gamma_values:
+        check_gamma(g)
+    probabilities = branch_probabilities(cfg)
+    p_switch, p_not_switch = np.array([probabilities(n) for n in noises]).T
+    # math's cos and sin, as in `play`: numpy's may differ in the last bit
+    w_switch = np.array([math.cos(g) ** 2 for g in gamma_values])
+    w_stay = np.array([math.sin(g) ** 2 for g in gamma_values])
+    return np.outer(p_switch, w_switch) + np.outer(p_not_switch, w_stay)
+
+
 def sweep(
-    target: int | Callable[[float, float], float],
+    target: int | GameConfig | Callable[[float, float], float],
     noise_values,
     gamma_values,
 ) -> SweepTable:
-    """Evaluate a case (by id) or an arbitrary payoff(noise, gamma) callable
-    over the grid."""
+    """Evaluate a case (by id), a configuration (its noise family spans the
+    noise axis; its own noise value and gamma are not used) or an arbitrary
+    payoff(noise, gamma) callable over the grid.
+
+    A case or configuration is compiled once and every axis value checked
+    before anything is evaluated; a callable is called once per point.
+    """
     noise_values = _check_grid(noise_values, "noise")
     gamma_values = _check_grid(gamma_values, "gamma")
     if isinstance(target, int):
-        payoff = lambda x, g: simulate_case(target, x, g)
+        target = case_config(target, 0.0, 0.0)
+    if isinstance(target, GameConfig):
+        payoffs = array("d", _payoff_grid(target, noise_values, gamma_values).tobytes())
     else:
-        payoff = target
-    rows = tuple(
-        (x, g, payoff(x, g)) for x in noise_values for g in gamma_values
-    )
-    return SweepTable(noise_values=noise_values, gamma_values=gamma_values, rows=rows)
+        payoffs = array("d", (target(x, g) for x in noise_values for g in gamma_values))
+    return SweepTable(noise_values, gamma_values, payoffs)
 
 
 @dataclass(frozen=True)
@@ -291,16 +357,11 @@ def verify_case(case: int, noise_values=None, gamma_values=None) -> VerifyReport
         gamma_values = default_gamma_grid()
     noise_values = _check_grid(noise_values, "noise")
     gamma_values = _check_grid(gamma_values, "gamma")
-    noises = [NoiseSpec.of(case_spec(case).channel_kind, x) for x in noise_values]
-    for g in gamma_values:
-        check_gamma(g)
-    probabilities = branch_probabilities(case_config(case, 0.0, 0.0))
-    weights = [(math.cos(g) ** 2, math.sin(g) ** 2) for g in gamma_values]
-    rows = ([w_s * p_s + w_n * p_n for w_s, w_n in weights]
-            for p_s, p_n in map(probabilities, noises))
+    payoffs = _payoff_grid(case_config(case, 0.0, 0.0), noise_values, gamma_values)
     worst = 0.0
-    for x, row in zip(noise_values, rows):
+    for x, row in zip(noise_values, payoffs.tolist()):
         for g, value in zip(gamma_values, row):
             worst = max(worst, abs(value - _CASE_FORMULAS[case](x, g)))
     return VerifyReport(case=case, max_abs_error=worst, tol=FORMULA_TOL,
-                        passed=worst <= FORMULA_TOL, points=len(noises) * len(gamma_values))
+                        passed=worst <= FORMULA_TOL,
+                        points=len(noise_values) * len(gamma_values))

@@ -15,6 +15,7 @@ All diagnostics go to stderr; stdout carries only the command's output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -255,6 +256,14 @@ def _cmd_payoff(args, parser) -> int:
     return EXIT_OK
 
 
+def _write_csv(fh, table: analysis.SweepTable) -> None:
+    """Write the table as CSV while formatting it, some thousand rows per write."""
+    fh.write("noise,gamma,payoff\n")
+    lines = (f"{_fmt(x)},{_fmt(g)},{_fmt(p)}\n" for x, g, p in table.rows)
+    while chunk := "".join(itertools.islice(lines, 4096)):
+        fh.write(chunk)
+
+
 def _cmd_sweep(args, parser) -> int:
     _apply_case(args, parser)
     build = _config_builder(args)
@@ -262,17 +271,14 @@ def _cmd_sweep(args, parser) -> int:
         raise CliError(EXIT_USAGE, "sweep needs --channel se or gp for the noise axis")
     noise_values, gamma_values = _grid_values(args)
     with _domain():
-        table = analysis.sweep(lambda x, g: play(build(x, g)).payoff,
-                               noise_values, gamma_values)
-    lines = ["noise,gamma,payoff"]
-    lines.extend(f"{_fmt(x)},{_fmt(g)},{_fmt(p)}" for x, g, p in table.rows)
-    text = "\n".join(lines) + "\n"
+        # the noise value and gamma of the configuration are not used
+        table = analysis.sweep(build(0.0, 0.0), noise_values, gamma_values)
     if not args.out:
-        sys.stdout.write(text)
+        _write_csv(sys.stdout, table)
         return EXIT_OK
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            _write_csv(fh, table)
     except OSError as err:
         raise CliError(EXIT_USAGE, f"cannot write {args.out}: {err}") from None
     return EXIT_OK

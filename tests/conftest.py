@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qmontyhall.channels import NoiseSpec
-from qmontyhall.game import GameConfig, StrategyUnitary, builtin_strategy
-from qmontyhall.channels import STATE_DIM
+from qmontyhall.analysis import case_config
+from qmontyhall.channels import STATE_DIM, NoiseSpec
+from qmontyhall.game import GameConfig, StrategyUnitary, builtin_strategy, play
 
 SEED = 20260810
 
@@ -15,6 +15,11 @@ SEED = 20260810
 @pytest.fixture
 def rng():
     return np.random.default_rng(SEED)
+
+
+def simulate_case(case: int, noise: float, gamma: float) -> float:
+    """A named case's payoff at one (noise, gamma), by one `play`."""
+    return play(case_config(case, noise, gamma)).payoff
 
 
 def random_unitary(rng, dim: int) -> np.ndarray:

@@ -1,13 +1,14 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import with_bob
+from conftest import haar_unitary, random_state, simulate_case, with_bob
 from scipy.optimize import bisect
 
-from qmontyhall import analysis
+from qmontyhall import analysis, cli
 from qmontyhall.analysis import (
     CASES,
     CaseSpec,
@@ -19,12 +20,11 @@ from qmontyhall.analysis import (
     default_noise_grid,
     gamma_coefficients,
     optimal_gamma,
-    simulate_case,
     sweep,
     threshold,
     verify_case,
 )
-from qmontyhall.channels import NoiseSpec
+from qmontyhall.channels import STATE_DIM, NoiseSpec
 from qmontyhall.game import GameConfig, StrategyUnitary, branch_probabilities, play
 
 LN2 = math.log(2.0)
@@ -254,6 +254,120 @@ class TestSweep:
     def test_callable_target(self):
         table = sweep(lambda x, g: 0.5, [0.0, 1.0], [0.0])
         assert all(r[2] == 0.5 for r in table.rows)
+
+    def test_compiles_once(self, monkeypatch, capsys):
+        # counted through both bindings, so a per-point `play` would show too
+        import qmontyhall.game as game
+
+        compiles = []
+        original = game.branch_probabilities
+
+        def counted(cfg):
+            compiles.append(cfg)
+            return original(cfg)
+
+        monkeypatch.setattr(game, "branch_probabilities", counted)
+        monkeypatch.setattr(analysis, "branch_probabilities", counted)
+        grid = ["--noise-range", "0:1:0.25", "--gamma-range", "0:1.5:0.5"]
+        runs = [lambda: sweep(6, np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.5, 4)),
+                lambda: cli.main(["sweep", "--case", "6", *grid]),
+                lambda: cli.main(["sweep", "--state", "psi2", "--channel", "gp", *grid])]
+        per_run = []
+        for run in runs:
+            compiles.clear()
+            run()
+            per_run.append(len(compiles))
+        assert per_run == [1, 1, 1]
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rows_bit_identical_to_play(self, case):
+        noise = default_noise_grid(case)[::4]
+        gamma = np.linspace(0.0, math.pi / 2, 7)
+        expected = tuple((float(x), float(g), simulate_case(case, x, g))
+                         for x in noise for g in gamma)
+        rows = sweep(case, noise, gamma).rows
+        assert rows == expected
+        assert repr(rows) == repr(expected)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["se", "gp"])
+    def test_haar_rows_bit_identical_to_play(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        cfg = GameConfig(random_state(rng, STATE_DIM),
+                         StrategyUnitary(haar_unitary(rng, 3), name="a"),
+                         StrategyUnitary(haar_unitary(rng, 3), name="b"),
+                         NoiseSpec.of(kind, 0.0, 0.7, 1.9), 0.0)
+        noise = np.linspace(0.0, 3.0 if kind == "se" else 1.0, 5)
+        gamma = np.linspace(0.0, math.pi / 2, 6)
+        expected = tuple(
+            (float(x), float(g), play(dataclasses.replace(
+                cfg, noise=NoiseSpec.of(kind, x, 0.7, 1.9), gamma=g)).payoff)
+            for x in noise for g in gamma)
+        assert repr(sweep(cfg, noise, gamma).rows) == repr(expected)
+
+    def test_rows_contract(self):
+        noise, gamma = (0.0, 0.5, 1.0), (0.0, 0.25)
+        table = sweep(5, noise, gamma)
+        rows = table.rows
+        as_tuple = tuple(rows)
+        assert len(rows) == len(as_tuple) == 6
+        assert rows == as_tuple and as_tuple == rows and rows == table.rows
+        assert rows != list(as_tuple)
+        assert hash(rows) == hash(as_tuple)
+        assert repr(rows) == repr(as_tuple)
+        assert [r[:2] for r in rows] == [(x, g) for x in noise for g in gamma]
+        for i in range(-6, 6):
+            assert rows[i] == as_tuple[i]
+        assert rows[1:5:2] == as_tuple[1:5:2] and rows[::-1] == as_tuple[::-1]
+        assert all(type(value) is float for row in rows for value in row)
+        for i in (6, -7):
+            with pytest.raises(IndexError):
+                rows[i]
+        # a caller's tuple of floats is kept, not copied
+        assert table.noise_values is noise and table.gamma_values is gamma
+
+    def test_table_memory_per_point(self):
+        import tracemalloc
+
+        noise = np.linspace(0.0, 1.0, 101)
+        gamma = np.linspace(0.0, math.pi / 2, 101)
+        sweep(6, noise, gamma)  # warm-up, so only the table is counted
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            table = sweep(6, noise, gamma)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert len(table.rows) == 101 * 101
+        assert held <= 16 * 101 * 101
+
+    @pytest.mark.parametrize("noise,gamma,match", [
+        ([0.0, 0.5, 1.5], [0.0, 0.5], "error probability"),
+        ([0.0, 0.5], [0.0, 2.0], "gamma"),
+        ([0.0, math.nan], [0.0], "error probability"),
+    ])
+    def test_domain_checked_before_evaluation(self, monkeypatch, noise, gamma, match):
+        import qmontyhall.game as game
+
+        def unexpected(cfg):
+            raise AssertionError("evaluated before the grid was checked")
+
+        monkeypatch.setattr(game, "branch_probabilities", unexpected)
+        monkeypatch.setattr(analysis, "branch_probabilities", unexpected)
+        with pytest.raises(ValueError, match=match):
+            sweep(6, noise, gamma)
+
+    def test_configuration_needs_a_noise_family(self):
+        cfg = dataclasses.replace(case_config(1, 0.0, 0.0), noise=NoiseSpec.none())
+        with pytest.raises(ValueError, match="noise axis"):
+            sweep(cfg, [0.0], [0.0])
+
+    def test_payoff_outside_unit_interval(self):
+        for bad in (1.5, math.nan):
+            with pytest.raises(ValueError, match="outside"):
+                sweep(lambda x, g: bad, [0.0], [0.0])
 
 
 class TestVerifyCase:

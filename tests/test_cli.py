@@ -307,6 +307,13 @@ class TestSweep:
                                "--noise-range", "0:2:1", "--gamma-range", "0:0:1")
         assert code == 4 and out == ""
 
+    def test_domain_error_writes_no_file(self, tmp_path, capsys):
+        target = tmp_path / "table.csv"
+        code, out, err = run_cli(capsys, "sweep", "--case", "6", "--noise-range", "0:2:1",
+                                 "--gamma-range", "0:0:1", "--out", str(target))
+        assert code == 4 and out == "" and "error probability" in err
+        assert not target.exists()
+
     def test_bad_range_grammar(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--case", "1",
                                "--noise-range", "0:1", "--gamma-range", "0:0:1")
