@@ -12,8 +12,6 @@ from .analysis import (
     SweepTable,
     VerifyReport,
     case_config,
-    classical_reference,
-    closed_form_payoff,
     gamma_coefficients,
     optimal_gamma,
     sweep,
@@ -47,8 +45,6 @@ __all__ = [
     "branch_probabilities",
     "builtin_strategy",
     "case_config",
-    "classical_reference",
-    "closed_form_payoff",
     "gamma_coefficients",
     "gp_single",
     "initial_state",

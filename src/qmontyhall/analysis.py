@@ -1,4 +1,4 @@
-"""Payoff analysis: closed-form references, sweeps, optima and thresholds.
+"""Payoff analysis: named cases, sweeps, optima and thresholds.
 
 Seven named configurations (cases 1..4 under spontaneous emission, 5..7
 under generalized Pauli noise) each come with a closed-form payoff in the
@@ -17,12 +17,12 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import pairwise
 from typing import Callable
 
 import numpy as np
 
-from .channels import NoiseSpec
+from .channels import NoiseSpec, check_noise
 from .game import GameConfig, branch_probabilities, builtin_strategy, check_gamma
 
 # Tolerance for simulated-payoff vs closed-form comparisons.
@@ -30,6 +30,10 @@ FORMULA_TOL = 1e-9
 
 # |c1| up to which `optimal_gamma` calls the two final moves equally good.
 INDIFFERENCE_TOL = 1e-12
+
+# Where `gamma_coefficients` re-checks its fit, and the residual it allows.
+FIT_CHECK_GAMMA = 1.0
+FIT_TOL = 1e-10
 
 
 class NoSignChangeError(ValueError):
@@ -101,13 +105,6 @@ def case_spec(case: int) -> CaseSpec:
     return CASES[case]
 
 
-def closed_form_payoff(case: int, noise: float, gamma: float) -> float:
-    """Evaluate the case's closed-form payoff."""
-    NoiseSpec.of(case_spec(case).channel_kind, noise)  # domain check
-    check_gamma(gamma)
-    return _CASE_FORMULAS[case](noise, gamma)
-
-
 def case_config(case: int, noise: float, gamma: float) -> GameConfig:
     """The GameConfig a case denotes."""
     spec = case_spec(case)
@@ -120,42 +117,21 @@ def case_config(case: int, noise: float, gamma: float) -> GameConfig:
     )
 
 
-def classical_reference(switch: bool) -> Fraction:
-    """Exact classical payoff by enumerating the 9 equally likely
-    (prize, first choice) pairs; the host opens a non-prize, non-chosen box
-    (either of the two when Bob starts on the prize)."""
-    total = Fraction(0)
-    for prize in range(3):
-        for choice in range(3):
-            host_options = [d for d in range(3) if d != prize and d != choice]
-            wins = Fraction(0)
-            for opened in host_options:
-                final = choice
-                if switch:
-                    final = next(d for d in range(3) if d != choice and d != opened)
-                wins += Fraction(int(final == prize), len(host_options))
-            total += wins / 9
-    return total
-
-
-def gamma_coefficients(
-    payoff: Callable[[float], float],
-    check_gamma: float = 1.0,
-    tol: float = 1e-10,
-) -> tuple[float, float]:
+def gamma_coefficients(payoff: Callable[[float], float]) -> tuple[float, float]:
     """Fit payoff(gamma) = c0 + c1 * cos(2*gamma) from two evaluations.
 
     c0 is the payoff at gamma = pi/4, c1 the gamma = 0 payoff minus c0.  The
-    fit is re-checked at ``check_gamma``; a failure there means the payoff
-    does not lie in the cos(2*gamma) family and is reported as an error.
+    fit is re-checked at gamma = FIT_CHECK_GAMMA; a residual there above
+    FIT_TOL means the payoff does not lie in the cos(2*gamma) family and is
+    reported as an error.
     """
     c0 = payoff(math.pi / 4)
     c1 = payoff(0.0) - c0
-    residual = abs(c0 + c1 * math.cos(2.0 * check_gamma) - payoff(check_gamma))
-    if residual > tol:
+    residual = abs(c0 + c1 * math.cos(2.0 * FIT_CHECK_GAMMA) - payoff(FIT_CHECK_GAMMA))
+    if residual > FIT_TOL:
         raise ValueError(
             f"payoff is not of the form c0 + c1*cos(2*gamma): "
-            f"residual {residual:.3e} at gamma={check_gamma}"
+            f"residual {residual:.3e} at gamma={FIT_CHECK_GAMMA}"
         )
     return c0, c1
 
@@ -271,7 +247,7 @@ def _check_grid(values, name: str) -> tuple[float, ...]:
         values = tuple(float(v) for v in values)
     if not values:
         raise ValueError(f"empty {name} grid")
-    if any(b <= a for a, b in zip(values, values[1:])):
+    if any(b <= a for a, b in pairwise(values)):
         raise ValueError(f"{name} grid must be strictly ascending")
     return values
 
@@ -282,20 +258,30 @@ def _payoff_grid(cfg: GameConfig, noise_values, gamma_values) -> np.ndarray:
 
     Every axis value is checked before anything is evaluated.  The state and
     moves are compiled once and the noise applied once per noise value; gamma
-    enters as the weights cos^2 and sin^2, by the arithmetic of `play`.
+    enters as the weights cos^2 and sin^2, by the arithmetic of `play`.  Only
+    arrays are kept per axis value, so a long axis costs no Python objects.
     """
     noise = cfg.noise
     if noise.kind == "none":
         raise ValueError("a noise axis needs noise of kind 'se' or 'gp'")
-    noises = [NoiseSpec.of(noise.kind, x, noise.a1, noise.a2) for x in noise_values]
+    for x in noise_values:
+        check_noise(noise.kind, x, noise.a1, noise.a2)
     for g in gamma_values:
         check_gamma(g)
     probabilities = branch_probabilities(cfg)
-    p_switch, p_not_switch = np.array([probabilities(n) for n in noises]).T
+    p_switch, p_not_switch = np.empty(len(noise_values)), np.empty(len(noise_values))
+    for i, x in enumerate(noise_values):
+        spec = NoiseSpec.of(noise.kind, x, noise.a1, noise.a2)
+        p_switch[i], p_not_switch[i] = probabilities(spec)
+    grid = np.outer(p_switch, _squares(math.cos, gamma_values))
+    del p_switch  # so a long noise axis holds at most two axis arrays at once
+    grid += np.outer(p_not_switch, _squares(math.sin, gamma_values))
+    return grid
+
+
+def _squares(f: Callable[[float], float], gamma_values) -> np.ndarray:
     # math's cos and sin, as in `play`: numpy's may differ in the last bit
-    w_switch = np.array([math.cos(g) ** 2 for g in gamma_values])
-    w_stay = np.array([math.sin(g) ** 2 for g in gamma_values])
-    return np.outer(p_switch, w_switch) + np.outer(p_not_switch, w_stay)
+    return np.fromiter((f(g) ** 2 for g in gamma_values), float, len(gamma_values))
 
 
 def sweep(
@@ -325,7 +311,6 @@ def sweep(
 class VerifyReport:
     case: int
     max_abs_error: float
-    tol: float
     passed: bool
     points: int
 
@@ -362,6 +347,5 @@ def verify_case(case: int, noise_values=None, gamma_values=None) -> VerifyReport
     for x, row in zip(noise_values, payoffs.tolist()):
         for g, value in zip(gamma_values, row):
             worst = max(worst, abs(value - _CASE_FORMULAS[case](x, g)))
-    return VerifyReport(case=case, max_abs_error=worst, tol=FORMULA_TOL,
-                        passed=worst <= FORMULA_TOL,
+    return VerifyReport(case=case, max_abs_error=worst, passed=worst <= FORMULA_TOL,
                         points=len(noise_values) * len(gamma_values))

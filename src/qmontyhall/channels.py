@@ -39,11 +39,13 @@ _EYE = np.eye(QUTRIT_DIM, dtype=complex)
 # rho -> rho and rho -> Tr(rho) I/3 as superoperators
 _IDENTITY_MAP = np.einsum("ab,cd->acbd", _EYE, _EYE)
 _REPLACE_BY_MIXED = np.einsum("ac,bd->acbd", _EYE, _EYE) / QUTRIT_DIM
+_IDENTITY_MAP.setflags(write=False)  # `single_channel` hands it out as is
 
 
-def _check_params(kind: str, value: float, a1: float = 1.0, a2: float = 1.0) -> None:
-    """Domain of a family's parameters; the comparisons are written so NaN
-    fails them too."""
+def check_noise(kind: str, value: float, a1: float = 1.0, a2: float = 1.0) -> None:
+    """Raise ValueError unless family ``kind`` at noise ``value`` (and, for
+    "se", the Einstein coefficients) lies in its domain; the comparisons
+    are written so NaN fails them too."""
     if kind == "se":
         if not (math.isfinite(value) and value >= 0):
             raise ValueError(f"time t={value} must be non-negative")
@@ -71,7 +73,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("none", "se", "gp"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        _check_params(self.kind, self.t if self.kind == "se" else self.p, self.a1, self.a2)
+        check_noise(self.kind, self.t if self.kind == "se" else self.p, self.a1, self.a2)
 
     @classmethod
     def of(cls, kind: str, value: float | None = None,
@@ -83,10 +85,6 @@ class NoiseSpec:
         if kind == "gp":
             return cls(kind="gp", p=value)
         return cls(kind=kind)
-
-    @classmethod
-    def none(cls) -> "NoiseSpec":
-        return cls(kind="none")
 
     @classmethod
     def spontaneous_emission(cls, t: float, a1: float = 1.0, a2: float = 1.0) -> "NoiseSpec":
@@ -105,7 +103,7 @@ def se_single(t: float, a1: float = 1.0, a2: float = 1.0) -> np.ndarray:
     S[a, c, a, c] = k0[a] k0[c], S[0, 0, 1, 1] = 1 - e^(-t*a1),
     S[0, 0, 2, 2] = 1 - e^(-t*a2) and every other entry is 0.
     """
-    _check_params("se", t, a1, a2)
+    check_noise("se", t, a1, a2)
     k0 = np.array([1.0, math.exp(-t * a1 / 2), math.exp(-t * a2 / 2)])
     s = _IDENTITY_MAP * np.outer(k0, k0)[:, :, None, None]
     s[0, 0, 1, 1] = -math.expm1(-t * a1)
@@ -121,15 +119,15 @@ def gp_single(p: float) -> np.ndarray:
     P_00 = 1 - 8p/9 and P_ij = p/9 otherwise, because the nine equally
     weighted shift-clock products replace any rho by Tr(rho) I/3.
     """
-    _check_params("gp", p)
+    check_noise("gp", p)
     return (1.0 - p) * _IDENTITY_MAP + p * _REPLACE_BY_MIXED
 
 
-def single_channel(spec: NoiseSpec) -> np.ndarray | None:
+def single_channel(spec: NoiseSpec) -> np.ndarray:
     """The superoperator of the single-qutrit channel described by ``spec``
-    (None when noiseless)."""
+    (the identity map when noiseless)."""
     if spec.kind == "none":
-        return None
+        return _IDENTITY_MAP
     if spec.kind == "se":
         return se_single(spec.t, spec.a1, spec.a2)
     return gp_single(spec.p)

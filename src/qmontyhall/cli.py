@@ -120,21 +120,19 @@ def _range_shape(bounds: tuple[float, float, float]) -> tuple[int, bool]:
     return math.floor(span) + 1, False
 
 
-def _range_values(bounds: tuple[float, float, float]) -> list[float]:
+def _range_values(bounds: tuple[float, float, float]) -> tuple[float, ...]:
     """Grid LO, LO+STEP, ..., ending exactly on HI when HI is included;
     refused when STEP is below the float spacing and values repeat."""
     lo, hi, step = bounds
     count, inclusive = _range_shape(bounds)
-    values = [lo + i * step for i in range(count)]
-    if inclusive:
-        values[-1] = hi
-    if any(b <= a for a, b in zip(values, values[1:])):
+    values = tuple(hi if inclusive and i == count - 1 else lo + i * step for i in range(count))
+    if any(b <= a for a, b in itertools.pairwise(values)):
         raise CliError(EXIT_USAGE, f"range {lo!r}:{hi!r}:{step!r} repeats values: "
                                    "STEP is below the float spacing")
     return values
 
 
-def _grid_values(args) -> list[list[float] | None]:
+def _grid_values(args) -> list[tuple[float, ...] | None]:
     """The --noise-range and --gamma-range grids (None where a range is
     absent and verify's default axis applies), refused before they are built
     when they hold more than MAX_GRID_POINTS points together."""

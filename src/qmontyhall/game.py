@@ -174,7 +174,6 @@ class GameOutcome:
     payoff: float
     p_switch: float
     p_not_switch: float
-    gamma: float
 
     @property
     def mixing_coefficient(self) -> float:
@@ -197,8 +196,7 @@ def branch_probabilities(cfg: GameConfig) -> Callable[[NoiseSpec], tuple[float, 
     effects = [(moves.conj().T * w) @ moves for w in (WIN_SWITCH, WIN_STAY)]
 
     def probabilities(noise: NoiseSpec) -> tuple[float, float]:
-        channel = single_channel(noise)
-        r = rho if channel is None else apply_local_sequential(channel, rho)
+        r = apply_local_sequential(single_channel(noise), rho)
         # Tr(E r) = vdot(E, r) because E is Hermitian
         p_switch, p_not_switch = (complex(np.vdot(e, r)) for e in effects)
         residue = max(abs(p_switch.imag), abs(p_not_switch.imag))
@@ -214,6 +212,4 @@ def play(cfg: GameConfig) -> GameOutcome:
     with weights cos(gamma)^2 (switch) and sin(gamma)^2 (stay)."""
     p_switch, p_not_switch = branch_probabilities(cfg)(cfg.noise)
     payoff = math.cos(cfg.gamma) ** 2 * p_switch + math.sin(cfg.gamma) ** 2 * p_not_switch
-    return GameOutcome(
-        payoff=payoff, p_switch=p_switch, p_not_switch=p_not_switch, gamma=cfg.gamma
-    )
+    return GameOutcome(payoff=payoff, p_switch=p_switch, p_not_switch=p_not_switch)

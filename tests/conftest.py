@@ -1,13 +1,20 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qmontyhall.analysis import case_config
+from qmontyhall.analysis import _CASE_FORMULAS, case_config, case_spec
 from qmontyhall.channels import STATE_DIM, NoiseSpec
-from qmontyhall.game import GameConfig, StrategyUnitary, builtin_strategy, play
+from qmontyhall.game import (
+    GameConfig,
+    StrategyUnitary,
+    builtin_strategy,
+    check_gamma,
+    play,
+)
 
 SEED = 20260810
 
@@ -20,6 +27,31 @@ def rng():
 def simulate_case(case: int, noise: float, gamma: float) -> float:
     """A named case's payoff at one (noise, gamma), by one `play`."""
     return play(case_config(case, noise, gamma)).payoff
+
+
+def closed_form_payoff(case: int, noise: float, gamma: float) -> float:
+    """Evaluate the case's closed-form payoff."""
+    NoiseSpec.of(case_spec(case).channel_kind, noise)  # domain check
+    check_gamma(gamma)
+    return _CASE_FORMULAS[case](noise, gamma)
+
+
+def classical_reference(switch: bool) -> Fraction:
+    """Exact classical payoff by enumerating the 9 equally likely
+    (prize, first choice) pairs; the host opens a non-prize, non-chosen box
+    (either of the two when Bob starts on the prize)."""
+    total = Fraction(0)
+    for prize in range(3):
+        for choice in range(3):
+            host_options = [d for d in range(3) if d != prize and d != choice]
+            wins = Fraction(0)
+            for opened in host_options:
+                final = choice
+                if switch:
+                    final = next(d for d in range(3) if d != choice and d != opened)
+                wins += Fraction(int(final == prize), len(host_options))
+            total += wins / 9
+    return total
 
 
 def random_unitary(rng, dim: int) -> np.ndarray:
@@ -61,7 +93,7 @@ def random_config(rng, gamma=None) -> GameConfig:
         initial = random_state(rng, STATE_DIM)
     kind = rng.integers(0, 3)
     if kind == 0:
-        noise = NoiseSpec.none()
+        noise = NoiseSpec("none")
     elif kind == 1:
         noise = NoiseSpec.spontaneous_emission(float(rng.uniform(0.0, 3.0)))
     else:

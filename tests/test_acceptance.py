@@ -8,7 +8,15 @@ import subprocess
 import sys
 
 import numpy as np
-from conftest import random_config, random_density, simulate_case, with_bob, with_gamma
+from conftest import (
+    classical_reference,
+    closed_form_payoff,
+    random_config,
+    random_density,
+    simulate_case,
+    with_bob,
+    with_gamma,
+)
 from kraus import apply, extend_three, gp_kraus, se_kraus, validate_cptp
 from linalg import basis_ket, density_from_pure, is_density_matrix
 from reference import open_operator, switch_operator
@@ -17,8 +25,6 @@ from qmontyhall.analysis import (
     CASES,
     NoSignChangeError,
     case_config,
-    classical_reference,
-    closed_form_payoff,
     threshold,
 )
 from qmontyhall.channels import (

@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import haar_unitary, random_state, simulate_case, with_bob
+from conftest import (
+    classical_reference,
+    closed_form_payoff,
+    haar_unitary,
+    random_state,
+    simulate_case,
+    with_bob,
+)
 from scipy.optimize import bisect
 
 from qmontyhall import analysis, cli
@@ -14,8 +21,6 @@ from qmontyhall.analysis import (
     CaseSpec,
     NoSignChangeError,
     case_config,
-    classical_reference,
-    closed_form_payoff,
     default_gamma_grid,
     default_noise_grid,
     gamma_coefficients,
@@ -107,8 +112,8 @@ class TestClassicalReference:
                  for p in itertools.permutations(range(3))]
         expected = (float(classical_reference(True)), float(classical_reference(False)))
         for alice, bob in itertools.product(moves, moves):
-            cfg = GameConfig("psi1", alice, bob, NoiseSpec.none(), 0.0)
-            np.testing.assert_allclose(branch_probabilities(cfg)(NoiseSpec.none()), expected,
+            cfg = GameConfig("psi1", alice, bob, NoiseSpec("none"), 0.0)
+            np.testing.assert_allclose(branch_probabilities(cfg)(NoiseSpec("none")), expected,
                                        rtol=0, atol=1e-12)
 
 
@@ -343,6 +348,25 @@ class TestSweep:
         assert len(table.rows) == 101 * 101
         assert held <= 16 * 101 * 101
 
+    @pytest.mark.parametrize("long_axis", ["noise", "gamma"])
+    def test_long_axis_peak_per_value(self, long_axis):
+        # a long axis costs arrays only: no NoiseSpec, tuple or float per value
+        import tracemalloc
+
+        def peak(n):
+            axis = tuple(i / n for i in range(n))
+            grid = (axis, (0.0,)) if long_axis == "noise" else ((0.5,), axis)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                sweep(6, *grid)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        sweep(6, (0.0, 0.5), (0.0, 0.5))  # warm-up
+        assert (peak(3000) - peak(1000)) / 2000 <= 32
+
     @pytest.mark.parametrize("noise,gamma,match", [
         ([0.0, 0.5, 1.5], [0.0, 0.5], "error probability"),
         ([0.0, 0.5], [0.0, 2.0], "gamma"),
@@ -360,7 +384,7 @@ class TestSweep:
             sweep(6, noise, gamma)
 
     def test_configuration_needs_a_noise_family(self):
-        cfg = dataclasses.replace(case_config(1, 0.0, 0.0), noise=NoiseSpec.none())
+        cfg = dataclasses.replace(case_config(1, 0.0, 0.0), noise=NoiseSpec("none"))
         with pytest.raises(ValueError, match="noise axis"):
             sweep(cfg, [0.0], [0.0])
 

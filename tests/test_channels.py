@@ -283,7 +283,7 @@ class TestChannelProperties:
 
 class TestNoiseSpec:
     def test_factories(self):
-        assert NoiseSpec.none().kind == "none"
+        assert NoiseSpec("none").kind == "none"
         se = NoiseSpec.spontaneous_emission(1.5, a1=2.0)
         assert (se.kind, se.t, se.a1, se.a2) == ("se", 1.5, 2.0, 1.0)
         assert NoiseSpec.generalized_pauli(0.3).p == 0.3
@@ -297,7 +297,9 @@ class TestNoiseSpec:
             NoiseSpec.generalized_pauli(1.2)
 
     def test_single_channel(self):
-        assert single_channel(NoiseSpec.none()) is None
+        noiseless = single_channel(NoiseSpec("none"))
+        np.testing.assert_array_equal(noiseless, gp_single(0.0))
+        assert not noiseless.flags.writeable  # a shared constant
         np.testing.assert_array_equal(
             single_channel(NoiseSpec.spontaneous_emission(1.0, a1=0.4, a2=2.5)),
             se_single(1.0, 0.4, 2.5))

@@ -224,7 +224,7 @@ class TestRangeGrammar:
         assert values[-1] == 1.0
 
     def test_degenerate(self):
-        assert _range_values((0.5, 0.5, 1.0)) == [0.5]
+        assert _range_values((0.5, 0.5, 1.0)) == (0.5,)
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--case", "1", "--noise-range", "1000:1000.000000000001:1e-14",
@@ -454,10 +454,12 @@ class TestEntryPoint:
         assert json.loads(result.stdout)["payoff"] == 0.666666666667
 
     def test_runtime_needs_numpy_only(self):
-        # scipy took most of the start-up time when the CLI imported it
-        probe = "import sys, qmontyhall.cli; print('scipy' in sys.modules)"
+        # scipy took most of the start-up time when the CLI imported it, and
+        # fractions only served a reference that tests use
+        probe = ("import sys, qmontyhall.cli; "
+                 "print([m for m in ('scipy', 'fractions') if m in sys.modules])")
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-        assert result.returncode == 0 and result.stdout.strip() == "False", result.stderr
+        assert result.returncode == 0 and result.stdout.strip() == "[]", result.stderr
         tomllib = pytest.importorskip("tomllib")
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         dependencies = tomllib.loads(pyproject.read_text())["project"]["dependencies"]

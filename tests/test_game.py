@@ -29,7 +29,7 @@ def _identity_config(initial, gamma=0.0, noise=None):
         initial=initial,
         alice=builtin_strategy("id"),
         bob=builtin_strategy("id"),
-        noise=noise or NoiseSpec.none(),
+        noise=noise or NoiseSpec("none"),
         gamma=gamma,
     )
 
@@ -40,7 +40,7 @@ def _haar_config(rng) -> GameConfig:
         initial=random_state(rng, STATE_DIM),
         alice=StrategyUnitary(haar_unitary(rng, 3), name="haar-a"),
         bob=StrategyUnitary(haar_unitary(rng, 3), name="haar-b"),
-        noise=NoiseSpec.none(),
+        noise=NoiseSpec("none"),
         gamma=float(rng.uniform(0.0, math.pi / 2)),
     )
 
@@ -215,7 +215,7 @@ class TestEvolve:
 
 class TestBranchProbabilities:
     NOISES = (
-        NoiseSpec.none(),
+        NoiseSpec("none"),
         NoiseSpec.spontaneous_emission(0.7, a1=0.4, a2=2.5),
         NoiseSpec.generalized_pauli(0.35),
     )
@@ -245,7 +245,7 @@ class TestBranchProbabilities:
 
     def test_ignores_the_config_noise(self):
         cfg = _identity_config("psi2", noise=NoiseSpec.generalized_pauli(1.0))
-        assert branch_probabilities(cfg)(NoiseSpec.none()) == pytest.approx((0.0, 1.0), abs=1e-12)
+        assert branch_probabilities(cfg)(NoiseSpec("none")) == pytest.approx((0.0, 1.0), abs=1e-12)
 
 
 class TestNoiseSymmetries:
@@ -266,7 +266,7 @@ class TestNoiseSymmetries:
                 initial=random_state(rng, STATE_DIM),
                 alice=StrategyUnitary(haar_unitary(rng, 3), name="haar-a"),
                 bob=StrategyUnitary(haar_unitary(rng, 3), name="haar-b"),
-                noise=NoiseSpec.none(),
+                noise=NoiseSpec("none"),
                 gamma=0.0,
             )
 
