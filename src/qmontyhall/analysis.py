@@ -155,11 +155,10 @@ def threshold(case: int, lo: float, hi: float) -> float:
     the case is compiled once, as in `verify_case`, and each step applies only the noise."""
     if not lo < hi:
         raise ValueError(f"bracket [{lo}, {hi}] is empty or runs backwards")
-    kind = case_spec(case).channel_kind
     probabilities = branch_probabilities(case_config(case, 0.0, 0.0))
 
     def f(x: float) -> float:
-        p_switch, p_not_switch = probabilities(NoiseSpec.of(kind, x))
+        p_switch, p_not_switch = probabilities(x)
         return (p_switch - p_not_switch) / 2.0
     f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0:
@@ -231,9 +230,11 @@ class SweepTable:
     def __post_init__(self):
         if len(self.payoffs) != len(self.noise_values) * len(self.gamma_values):
             raise ValueError("row count does not match the grid")
-        for payoff in self.payoffs:
-            if not -1e-12 <= payoff <= 1.0 + 1e-12:
-                raise ValueError(f"payoff {payoff} outside [0, 1]")
+        values = np.frombuffer(self.payoffs)
+        # the extremes are NaN when any payoff is; `initial` lets an empty grid pass
+        for extreme in (values.min(initial=0.5), values.max(initial=0.5)):
+            if not -1e-12 <= extreme <= 1.0 + 1e-12:
+                raise ValueError(f"payoff {extreme} outside [0, 1]")
 
     @property
     def rows(self) -> SweepRows:
@@ -252,33 +253,6 @@ def _check_grid(values, name: str) -> tuple[float, ...]:
     return values
 
 
-def _payoff_grid(cfg: GameConfig, noise_values, gamma_values) -> np.ndarray:
-    """cfg's payoffs at every (noise, gamma), shape (noise, gamma), with
-    cfg's noise family and Einstein coefficients on the noise axis.
-
-    Every axis value is checked before anything is evaluated.  The state and
-    moves are compiled once and the noise applied once per noise value; gamma
-    enters as the weights cos^2 and sin^2, by the arithmetic of `play`.  Only
-    arrays are kept per axis value, so a long axis costs no Python objects.
-    """
-    noise = cfg.noise
-    if noise.kind == "none":
-        raise ValueError("a noise axis needs noise of kind 'se' or 'gp'")
-    for x in noise_values:
-        check_noise(noise.kind, x, noise.a1, noise.a2)
-    for g in gamma_values:
-        check_gamma(g)
-    probabilities = branch_probabilities(cfg)
-    p_switch, p_not_switch = np.empty(len(noise_values)), np.empty(len(noise_values))
-    for i, x in enumerate(noise_values):
-        spec = NoiseSpec.of(noise.kind, x, noise.a1, noise.a2)
-        p_switch[i], p_not_switch[i] = probabilities(spec)
-    grid = np.outer(p_switch, _squares(math.cos, gamma_values))
-    del p_switch  # so a long noise axis holds at most two axis arrays at once
-    grid += np.outer(p_not_switch, _squares(math.sin, gamma_values))
-    return grid
-
-
 def _squares(f: Callable[[float], float], gamma_values) -> np.ndarray:
     # math's cos and sin, as in `play`: numpy's may differ in the last bit
     return np.fromiter((f(g) ** 2 for g in gamma_values), float, len(gamma_values))
@@ -289,21 +263,39 @@ def sweep(
     noise_values,
     gamma_values,
 ) -> SweepTable:
-    """Evaluate a case (by id), a configuration (its noise family spans the
-    noise axis; its own noise value and gamma are not used) or an arbitrary
-    payoff(noise, gamma) callable over the grid.
+    """Evaluate a case (by id), a configuration (its noise family and
+    Einstein coefficients span the noise axis; its own noise value and gamma
+    are not used) or an arbitrary payoff(noise, gamma) callable over the grid.
 
-    A case or configuration is compiled once and every axis value checked
-    before anything is evaluated; a callable is called once per point.
+    A case or configuration has every axis value checked before anything is
+    evaluated, is compiled once and simulated once per noise value; gamma
+    enters as the weights cos^2 and sin^2, by the arithmetic of `play`.  Only
+    arrays are kept per axis value, so a long axis costs no Python objects.
+    A callable is called once per point.
     """
     noise_values = _check_grid(noise_values, "noise")
     gamma_values = _check_grid(gamma_values, "gamma")
     if isinstance(target, int):
         target = case_config(target, 0.0, 0.0)
-    if isinstance(target, GameConfig):
-        payoffs = array("d", _payoff_grid(target, noise_values, gamma_values).tobytes())
-    else:
+    if not isinstance(target, GameConfig):
         payoffs = array("d", (target(x, g) for x in noise_values for g in gamma_values))
+        return SweepTable(noise_values, gamma_values, payoffs)
+    noise = target.noise
+    if noise.kind == "none":
+        raise ValueError("a noise axis needs noise of kind 'se' or 'gp'")
+    for x in noise_values:
+        check_noise(noise.kind, x, noise.a1, noise.a2)
+    for g in gamma_values:
+        check_gamma(g)
+    probabilities = branch_probabilities(target)
+    p_switch, p_not_switch = np.empty(len(noise_values)), np.empty(len(noise_values))
+    for i, x in enumerate(noise_values):
+        p_switch[i], p_not_switch[i] = probabilities(x)
+    grid = np.outer(p_switch, _squares(math.cos, gamma_values))
+    del p_switch  # so a long noise axis holds at most two axis arrays at once
+    grid += np.outer(p_not_switch, _squares(math.sin, gamma_values))
+    payoffs = array("d")
+    payoffs.frombytes(grid.view(np.uint8))  # from the grid's buffer, with no bytes copy between
     return SweepTable(noise_values, gamma_values, payoffs)
 
 
@@ -330,22 +322,22 @@ def default_gamma_grid() -> np.ndarray:
 
 
 def verify_case(case: int, noise_values=None, gamma_values=None) -> VerifyReport:
-    """Max |simulated - closed form| over the grid, pass/fail at FORMULA_TOL;
-    ValueError for an empty or not strictly ascending axis.
+    """Max |simulated - closed form| over the grid, pass/fail at FORMULA_TOL.
 
-    The case is compiled once and simulated once per noise value, gamma
-    entering as the weights cos^2 and sin^2 as in `play`.
+    The simulation is ``sweep(case, ...)``'s table, so its axes and payoffs
+    are checked as there; a closed form that is not a number counts as an
+    infinite error.
     """
     if noise_values is None:
         noise_values = default_noise_grid(case)
     if gamma_values is None:
         gamma_values = default_gamma_grid()
-    noise_values = _check_grid(noise_values, "noise")
-    gamma_values = _check_grid(gamma_values, "gamma")
-    payoffs = _payoff_grid(case_config(case, 0.0, 0.0), noise_values, gamma_values)
+    table = sweep(case, noise_values, gamma_values)
+    formula = _CASE_FORMULAS[case]
     worst = 0.0
-    for x, row in zip(noise_values, payoffs.tolist()):
-        for g, value in zip(gamma_values, row):
-            worst = max(worst, abs(value - _CASE_FORMULAS[case](x, g)))
+    for x, g, payoff in table.rows:
+        error = abs(payoff - formula(x, g))
+        if not error <= worst:
+            worst = math.inf if math.isnan(error) else error
     return VerifyReport(case=case, max_abs_error=worst, passed=worst <= FORMULA_TOL,
-                        points=len(noise_values) * len(gamma_values))
+                        points=len(table.payoffs))

@@ -123,14 +123,17 @@ def gp_single(p: float) -> np.ndarray:
     return (1.0 - p) * _IDENTITY_MAP + p * _REPLACE_BY_MIXED
 
 
-def single_channel(spec: NoiseSpec) -> np.ndarray:
-    """The superoperator of the single-qutrit channel described by ``spec``
-    (the identity map when noiseless)."""
-    if spec.kind == "none":
+def single_channel(kind: str, value: float, a1: float = 1.0, a2: float = 1.0) -> np.ndarray:
+    """The superoperator of family ``kind`` at noise ``value``, the
+    arguments of `check_noise`: the time t for "se", the error probability
+    p for "gp"; "none" ignores the value and gives the identity map."""
+    if kind == "none":
         return _IDENTITY_MAP
-    if spec.kind == "se":
-        return se_single(spec.t, spec.a1, spec.a2)
-    return gp_single(spec.p)
+    if kind == "se":
+        return se_single(value, a1, a2)
+    if kind == "gp":
+        return gp_single(value)
+    raise ValueError(f"unknown noise kind {kind!r}")
 
 
 def apply_local_sequential(s: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -321,9 +321,8 @@ def _cmd_threshold(args, parser) -> int:
 
 def _cmd_validate_channel(args, parser) -> int:
     with _domain():
-        spec = NoiseSpec.of(args.channel, args.noise, args.a1, args.a2)
-    s = single_channel(spec)
-    label = f"SE(t={spec.t:g})" if spec.kind == "se" else f"GP(p={spec.p:g})"
+        s = single_channel(args.channel, args.noise, args.a1, args.a2)
+    label = f"SE(t={args.noise:g})" if args.channel == "se" else f"GP(p={args.noise:g})"
     deviations = [("single-qutrit", trace_preservation_deviation(s)),
                   ("choi", complete_positivity_deviation(s))]
     for scope, dev in deviations:

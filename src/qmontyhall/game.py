@@ -181,22 +181,25 @@ class GameOutcome:
         return (self.p_switch - self.p_not_switch) / 2.0
 
 
-def branch_probabilities(cfg: GameConfig) -> Callable[[NoiseSpec], tuple[float, float]]:
-    """Compile cfg's state and moves; the result maps a noise to
-    (p_switch, p_not_switch).
+def branch_probabilities(cfg: GameConfig) -> Callable[[float], tuple[float, float]]:
+    """Compile cfg's state, moves and noise family; the result maps a noise
+    value (the time t for "se", the error probability p for "gp", ignored
+    for "none") to (p_switch, p_not_switch).
 
     The moves and the branch's win indicator w fold into one effect per
     branch, E = M† diag(w) M with M = I x B x A, so p = Tr(E N(rho)) and only
-    the noise N is applied per call.  cfg's own noise and gamma are not used.
+    the noise N, of cfg's family and Einstein coefficients, is built and
+    applied per call.  cfg's own noise value and gamma are not used.
     """
     v = cfg.initial_vector()
     rho = np.outer(v, v.conj())
     moves = np.kron(np.kron(np.eye(3, dtype=complex), cfg.bob.matrix), cfg.alice.matrix)
     # M† diag(w) M, with the columns of M† weighted by the win indicator
     effects = [(moves.conj().T * w) @ moves for w in (WIN_SWITCH, WIN_STAY)]
+    kind, a1, a2 = cfg.noise.kind, cfg.noise.a1, cfg.noise.a2
 
-    def probabilities(noise: NoiseSpec) -> tuple[float, float]:
-        r = apply_local_sequential(single_channel(noise), rho)
+    def probabilities(noise: float) -> tuple[float, float]:
+        r = apply_local_sequential(single_channel(kind, noise, a1, a2), rho)
         # Tr(E r) = vdot(E, r) because E is Hermitian
         p_switch, p_not_switch = (complex(np.vdot(e, r)) for e in effects)
         residue = max(abs(p_switch.imag), abs(p_not_switch.imag))
@@ -208,8 +211,9 @@ def branch_probabilities(cfg: GameConfig) -> Callable[[NoiseSpec], tuple[float, 
 
 
 def play(cfg: GameConfig) -> GameOutcome:
-    """Evaluate one round; the payoff mixes the two branch probabilities
-    with weights cos(gamma)^2 (switch) and sin(gamma)^2 (stay)."""
-    p_switch, p_not_switch = branch_probabilities(cfg)(cfg.noise)
+    """Evaluate one round at cfg's noise; the payoff mixes the two branch
+    probabilities with weights cos(gamma)^2 (switch) and sin(gamma)^2 (stay)."""
+    noise = cfg.noise
+    p_switch, p_not_switch = branch_probabilities(cfg)(noise.t if noise.kind == "se" else noise.p)
     payoff = math.cos(cfg.gamma) ** 2 * p_switch + math.sin(cfg.gamma) ** 2 * p_not_switch
     return GameOutcome(payoff=payoff, p_switch=p_switch, p_not_switch=p_not_switch)

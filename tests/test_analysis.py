@@ -113,7 +113,7 @@ class TestClassicalReference:
         expected = (float(classical_reference(True)), float(classical_reference(False)))
         for alice, bob in itertools.product(moves, moves):
             cfg = GameConfig("psi1", alice, bob, NoiseSpec("none"), 0.0)
-            np.testing.assert_allclose(branch_probabilities(cfg)(NoiseSpec("none")), expected,
+            np.testing.assert_allclose(branch_probabilities(cfg)(0.0), expected,
                                        rtol=0, atol=1e-12)
 
 
@@ -221,6 +221,21 @@ class TestThreshold:
             threshold(case, lo, hi)
             per_call.append(len(compiles))
         assert per_call == [1, 1]
+
+
+@pytest.mark.parametrize("run", [lambda: threshold(6, 0.01, 0.99), lambda: verify_case(1)])
+def test_one_noise_spec_per_call(monkeypatch, run):
+    # the compiled configuration takes plain noise values, so only its own NoiseSpec is built
+    built = []
+    original = NoiseSpec.__post_init__
+
+    def counted(spec):
+        built.append(spec)
+        original(spec)
+
+    monkeypatch.setattr(NoiseSpec, "__post_init__", counted)
+    run()
+    assert len(built) == 1
 
 
 class TestSweep:
@@ -433,6 +448,42 @@ class TestVerifyCase:
     def test_refuses_empty_or_descending_axis(self, noise, gamma, match):
         with pytest.raises(ValueError, match=match):
             verify_case(1, noise, gamma)
+
+    def test_nan_simulation_fails(self, monkeypatch, capsys):
+        # the table's range check refuses it, where a running max would skip it
+        monkeypatch.setattr(analysis, "branch_probabilities",
+                            lambda cfg: lambda noise: (math.nan, math.nan))
+        with pytest.raises(ValueError, match=r"payoff nan outside \[0, 1\]"):
+            verify_case(6)
+        assert cli.main(["verify", "--case", "6"]) == cli.EXIT_DOMAIN
+        assert capsys.readouterr().out == ""
+
+    def test_nan_closed_form_fails(self, monkeypatch, capsys):
+        formula = analysis._CASE_FORMULAS[6]
+        monkeypatch.setitem(analysis._CASE_FORMULAS, 6,
+                            lambda p, g: math.nan if p == 0.5 else formula(p, g))
+        report = verify_case(6)
+        assert not report.passed
+        assert report.max_abs_error == math.inf
+        assert cli.main(["verify", "--case", "6"]) == cli.EXIT_FAIL
+        assert capsys.readouterr().out == "case 6: max_err=inf fail\n"
+
+    def test_grid_peak_per_point(self):
+        # the comparison reads sweep's table and keeps no Python float per point
+        import tracemalloc
+
+        def peak(n):
+            axis = tuple(i / n for i in range(n))
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                verify_case(6, axis, axis)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        verify_case(6, (0.0, 0.5), (0.0, 0.5))  # warm-up
+        assert (peak(300) - peak(100)) / (300**2 - 100**2) <= 24
 
     def test_negative_control(self, monkeypatch):
         # Case 3 with the wrong Bob move must not reproduce its closed form

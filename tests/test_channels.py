@@ -297,11 +297,11 @@ class TestNoiseSpec:
             NoiseSpec.generalized_pauli(1.2)
 
     def test_single_channel(self):
-        noiseless = single_channel(NoiseSpec("none"))
+        noiseless = single_channel("none", 0.0)
         np.testing.assert_array_equal(noiseless, gp_single(0.0))
         assert not noiseless.flags.writeable  # a shared constant
-        np.testing.assert_array_equal(
-            single_channel(NoiseSpec.spontaneous_emission(1.0, a1=0.4, a2=2.5)),
-            se_single(1.0, 0.4, 2.5))
-        np.testing.assert_array_equal(
-            single_channel(NoiseSpec.generalized_pauli(0.5)), gp_single(0.5))
+        np.testing.assert_array_equal(single_channel("se", 1.0, 0.4, 2.5),
+                                      se_single(1.0, 0.4, 2.5))
+        np.testing.assert_array_equal(single_channel("gp", 0.5), gp_single(0.5))
+        with pytest.raises(ValueError, match="unknown noise kind"):
+            single_channel("amplitude", 0.5)

@@ -45,6 +45,11 @@ def _haar_config(rng) -> GameConfig:
     )
 
 
+def _value(noise: NoiseSpec) -> float:
+    """The noise value a compiled configuration takes: t for "se", p otherwise."""
+    return noise.t if noise.kind == "se" else noise.p
+
+
 def _is_permutation(m: np.ndarray) -> bool:
     real = m.real
     if not (np.array_equal(m, real) and np.isin(real, (0.0, 1.0)).all()):
@@ -221,11 +226,11 @@ class TestBranchProbabilities:
     )
 
     def _check_against_reference(self, cfg):
-        probabilities = branch_probabilities(cfg)
         for noise in self.NOISES:
             noisy = dataclasses.replace(cfg, noise=noise)
             expected = reference.branch_probabilities(noisy)
-            np.testing.assert_allclose(probabilities(noise), expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(branch_probabilities(noisy)(_value(noise)), expected,
+                                       rtol=0, atol=1e-12)
             outcome = play(noisy)
             np.testing.assert_allclose((outcome.p_switch, outcome.p_not_switch),
                                        expected, rtol=0, atol=1e-12)
@@ -243,9 +248,23 @@ class TestBranchProbabilities:
     def test_matches_schrodinger_reference_on_drawn_seeds(self, seed):
         self._check_against_reference(_haar_config(np.random.default_rng(seed)))
 
-    def test_ignores_the_config_noise(self):
-        cfg = _identity_config("psi2", noise=NoiseSpec.generalized_pauli(1.0))
-        assert branch_probabilities(cfg)(NoiseSpec("none")) == pytest.approx((0.0, 1.0), abs=1e-12)
+    def test_binds_the_config_family_but_not_its_value_or_gamma(self):
+        cfg = _haar_config(np.random.default_rng(20261020))
+        for noise in self.NOISES[1:]:
+            expected = reference.branch_probabilities(dataclasses.replace(cfg, noise=noise))
+            # compiled at another value of the same family and coefficients, and another gamma
+            other = dataclasses.replace(cfg, gamma=1.2, noise=NoiseSpec.of(
+                noise.kind, 0.9, noise.a1, noise.a2))
+            np.testing.assert_allclose(branch_probabilities(other)(_value(noise)), expected,
+                                       rtol=0, atol=1e-12)
+        # the Einstein coefficients are bound: SE(0.7) with a1 = a2 = 1 is another channel
+        unit = dataclasses.replace(cfg, noise=NoiseSpec.spontaneous_emission(3.0))
+        moved = np.subtract(branch_probabilities(unit)(0.7), reference.branch_probabilities(
+            dataclasses.replace(cfg, noise=self.NOISES[1])))
+        assert np.abs(moved).max() > 1e-3
+        # the family is bound: a noiseless configuration ignores the value
+        noiseless = _identity_config("psi2", noise=NoiseSpec("none"))
+        assert branch_probabilities(noiseless)(1.0) == pytest.approx((0.0, 1.0), abs=1e-12)
 
 
 class TestNoiseSymmetries:
@@ -259,14 +278,14 @@ class TestNoiseSymmetries:
     """
 
     @staticmethod
-    def _configs():
+    def _configs(noise):
         rng = np.random.default_rng(20261019)
         for _ in range(8):
             yield GameConfig(
                 initial=random_state(rng, STATE_DIM),
                 alice=StrategyUnitary(haar_unitary(rng, 3), name="haar-a"),
                 bob=StrategyUnitary(haar_unitary(rng, 3), name="haar-b"),
-                noise=NoiseSpec("none"),
+                noise=noise,
                 gamma=0.0,
             )
 
@@ -281,25 +300,22 @@ class TestNoiseSymmetries:
         )
 
     def test_full_pauli_noise_gives_one_third(self):
-        for cfg in self._configs():
-            probabilities = branch_probabilities(cfg)(NoiseSpec.generalized_pauli(1.0))
+        for cfg in self._configs(NoiseSpec.generalized_pauli(1.0)):
+            probabilities = branch_probabilities(cfg)(1.0)
             np.testing.assert_allclose(probabilities, (1 / 3, 1 / 3), rtol=0, atol=1e-12)
 
     def test_box_relabelling_under_pauli_noise(self):
-        for cfg in self._configs():
+        for cfg in self._configs(NoiseSpec.generalized_pauli(0.0)):
             original = branch_probabilities(cfg)
             relabelled = branch_probabilities(self._relabelled(cfg))
             for p in (0.0, 0.35, 1.0):
-                noise = NoiseSpec.generalized_pauli(p)
-                np.testing.assert_allclose(relabelled(noise), original(noise),
-                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(relabelled(p), original(p), rtol=0, atol=1e-12)
 
     def test_box_relabelling_breaks_under_emission(self):
         # negative control: the symmetry needs noise that commutes with X
-        noise = NoiseSpec.spontaneous_emission(0.7)
-        for cfg in self._configs():
-            original = branch_probabilities(cfg)(noise)
-            relabelled = branch_probabilities(self._relabelled(cfg))(noise)
+        for cfg in self._configs(NoiseSpec.spontaneous_emission(0.7)):
+            original = branch_probabilities(cfg)(0.7)
+            relabelled = branch_probabilities(self._relabelled(cfg))(0.7)
             assert np.abs(np.subtract(relabelled, original)).max() > 1e-3
 
     @staticmethod
@@ -308,18 +324,18 @@ class TestNoiseSymmetries:
         return [reference.win_probability(r) for r in reference.evolve_noise_after_moves(noisy)]
 
     def test_pauli_noise_commutes_with_the_moves(self):
-        for cfg in self._configs():
+        for cfg in self._configs(NoiseSpec.generalized_pauli(0.0)):
             probabilities = branch_probabilities(cfg)
             for p in (0.0, 0.35, 1.0):
                 noise = NoiseSpec.generalized_pauli(p)
-                np.testing.assert_allclose(probabilities(noise),
+                np.testing.assert_allclose(probabilities(p),
                                            self._noise_after_moves(cfg, noise), rtol=0, atol=1e-12)
 
     def test_emission_does_not_commute_with_the_moves(self):
         # negative control: SE singles out |0>, which the moves rotate away
         noise = NoiseSpec.spontaneous_emission(0.7)
-        for cfg in self._configs():
-            moved = np.subtract(branch_probabilities(cfg)(noise),
+        for cfg in self._configs(noise):
+            moved = np.subtract(branch_probabilities(cfg)(0.7),
                                 self._noise_after_moves(cfg, noise))
             assert np.abs(moved).max() > 0.05
 
