@@ -31,13 +31,13 @@ FORMULA_TOL = 1e-9
 # |c1| up to which `optimal_gamma` calls the two final moves equally good.
 INDIFFERENCE_TOL = 1e-12
 
-# Where `gamma_coefficients` re-checks its fit, and the residual it allows.
-FIT_CHECK_GAMMA = 1.0
-FIT_TOL = 1e-10
-
 
 class NoSignChangeError(ValueError):
     """The bisection bracket does not straddle a strategy crossover."""
+
+
+class PayoffRangeError(ValueError):
+    """A grid payoff is not a number in [0, 1]."""
 
 
 def _se_case(c1_of_t: Callable[[float], float]) -> Callable[[float, float], float]:
@@ -115,25 +115,6 @@ def case_config(case: int, noise: float, gamma: float) -> GameConfig:
         noise=NoiseSpec.of(spec.channel_kind, noise),
         gamma=gamma,
     )
-
-
-def gamma_coefficients(payoff: Callable[[float], float]) -> tuple[float, float]:
-    """Fit payoff(gamma) = c0 + c1 * cos(2*gamma) from two evaluations.
-
-    c0 is the payoff at gamma = pi/4, c1 the gamma = 0 payoff minus c0.  The
-    fit is re-checked at gamma = FIT_CHECK_GAMMA; a residual there above
-    FIT_TOL means the payoff does not lie in the cos(2*gamma) family and is
-    reported as an error.
-    """
-    c0 = payoff(math.pi / 4)
-    c1 = payoff(0.0) - c0
-    residual = abs(c0 + c1 * math.cos(2.0 * FIT_CHECK_GAMMA) - payoff(FIT_CHECK_GAMMA))
-    if residual > FIT_TOL:
-        raise ValueError(
-            f"payoff is not of the form c0 + c1*cos(2*gamma): "
-            f"residual {residual:.3e} at gamma={FIT_CHECK_GAMMA}"
-        )
-    return c0, c1
 
 
 def optimal_gamma(c1: float) -> tuple[float, str]:
@@ -234,7 +215,7 @@ class SweepTable:
         # the extremes are NaN when any payoff is; `initial` lets an empty grid pass
         for extreme in (values.min(initial=0.5), values.max(initial=0.5)):
             if not -1e-12 <= extreme <= 1.0 + 1e-12:
-                raise ValueError(f"payoff {extreme} outside [0, 1]")
+                raise PayoffRangeError(f"payoff {extreme} outside [0, 1]")
 
     @property
     def rows(self) -> SweepRows:
@@ -324,15 +305,19 @@ def default_gamma_grid() -> np.ndarray:
 def verify_case(case: int, noise_values=None, gamma_values=None) -> VerifyReport:
     """Max |simulated - closed form| over the grid, pass/fail at FORMULA_TOL.
 
-    The simulation is ``sweep(case, ...)``'s table, so its axes and payoffs
-    are checked as there; a closed form that is not a number counts as an
-    infinite error.
+    The simulation is ``sweep(case, ...)``'s table, so its axes are checked
+    as there.  A simulated payoff that the table refuses (not a number in
+    [0, 1]) and a closed form that is not a number count as infinite errors.
     """
     if noise_values is None:
         noise_values = default_noise_grid(case)
     if gamma_values is None:
         gamma_values = default_gamma_grid()
-    table = sweep(case, noise_values, gamma_values)
+    try:
+        table = sweep(case, noise_values, gamma_values)
+    except PayoffRangeError:
+        return VerifyReport(case=case, max_abs_error=math.inf, passed=False,
+                            points=len(noise_values) * len(gamma_values))
     formula = _CASE_FORMULAS[case]
     worst = 0.0
     for x, g, payoff in table.rows:

@@ -255,9 +255,17 @@ def _cmd_payoff(args, parser) -> int:
 
 
 def _write_csv(fh, table: analysis.SweepTable) -> None:
-    """Write the table as CSV while formatting it, some thousand rows per write."""
+    """Write the table as CSV by the `_fmt` rule, some thousand rows per write.
+    Each noise value is formatted once per row of the grid; each gamma once,
+    kept as text (some 60 B each) only when more rows than one read it."""
     fh.write("noise,gamma,payoff\n")
-    lines = (f"{_fmt(x)},{_fmt(g)},{_fmt(p)}\n" for x, g, p in table.rows)
+    # the axes and payoffs are floats already, so `_fmt`'s float() is left out
+    gammas = map("{:.12g}".format, table.gamma_values)
+    if len(table.noise_values) > 1:
+        gammas = list(gammas)
+    payoffs = iter(table.payoffs)
+    lines = (f"{x},{g},{p:.12g}\n" for x in map("{:.12g}".format, table.noise_values)
+             for g, p in zip(gammas, payoffs))
     while chunk := "".join(itertools.islice(lines, 4096)):
         fh.write(chunk)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -18,6 +19,10 @@ from qmontyhall.game import (
 
 SEED = 20260810
 
+# Where `gamma_coefficients` re-checks its fit, and the residual it allows.
+FIT_CHECK_GAMMA = 1.0
+FIT_TOL = 1e-10
+
 
 @pytest.fixture
 def rng():
@@ -34,6 +39,25 @@ def closed_form_payoff(case: int, noise: float, gamma: float) -> float:
     NoiseSpec.of(case_spec(case).channel_kind, noise)  # domain check
     check_gamma(gamma)
     return _CASE_FORMULAS[case](noise, gamma)
+
+
+def gamma_coefficients(payoff: Callable[[float], float]) -> tuple[float, float]:
+    """Fit payoff(gamma) = c0 + c1 * cos(2*gamma) from two evaluations.
+
+    c0 is the payoff at gamma = pi/4, c1 the gamma = 0 payoff minus c0.  The
+    fit is re-checked at gamma = FIT_CHECK_GAMMA; a residual there above
+    FIT_TOL means the payoff does not lie in the cos(2*gamma) family and is
+    reported as an error.
+    """
+    c0 = payoff(math.pi / 4)
+    c1 = payoff(0.0) - c0
+    residual = abs(c0 + c1 * math.cos(2.0 * FIT_CHECK_GAMMA) - payoff(FIT_CHECK_GAMMA))
+    if residual > FIT_TOL:
+        raise ValueError(
+            f"payoff is not of the form c0 + c1*cos(2*gamma): "
+            f"residual {residual:.3e} at gamma={FIT_CHECK_GAMMA}"
+        )
+    return c0, c1
 
 
 def classical_reference(switch: bool) -> Fraction:

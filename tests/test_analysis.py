@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     classical_reference,
     closed_form_payoff,
+    gamma_coefficients,
     haar_unitary,
     random_state,
     simulate_case,
@@ -23,7 +24,6 @@ from qmontyhall.analysis import (
     case_config,
     default_gamma_grid,
     default_noise_grid,
-    gamma_coefficients,
     optimal_gamma,
     sweep,
     threshold,
@@ -450,13 +450,18 @@ class TestVerifyCase:
             verify_case(1, noise, gamma)
 
     def test_nan_simulation_fails(self, monkeypatch, capsys):
-        # the table's range check refuses it, where a running max would skip it
+        # the table's range check refuses it, where a running max would skip it;
+        # no parameter is out of its domain, so verify fails rather than exit 4
         monkeypatch.setattr(analysis, "branch_probabilities",
                             lambda cfg: lambda noise: (math.nan, math.nan))
-        with pytest.raises(ValueError, match=r"payoff nan outside \[0, 1\]"):
-            verify_case(6)
-        assert cli.main(["verify", "--case", "6"]) == cli.EXIT_DOMAIN
-        assert capsys.readouterr().out == ""
+        with pytest.raises(analysis.PayoffRangeError, match=r"payoff nan outside \[0, 1\]"):
+            sweep(6, [0.5], [0.0])
+        report = verify_case(6)
+        assert not report.passed
+        assert report.max_abs_error == math.inf
+        assert report.points == 441
+        assert cli.main(["verify", "--case", "6"]) == cli.EXIT_FAIL
+        assert capsys.readouterr().out == "case 6: max_err=inf fail\n"
 
     def test_nan_closed_form_fails(self, monkeypatch, capsys):
         formula = analysis._CASE_FORMULAS[6]

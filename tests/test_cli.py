@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import re
@@ -7,10 +8,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import haar_unitary, random_state
 
-from qmontyhall.analysis import CASES
-from qmontyhall.cli import MAX_GRID_POINTS, _range_values, main, parse_strategy_file
-from qmontyhall.game import builtin_strategy
+from qmontyhall.analysis import CASES, sweep
+from qmontyhall.channels import STATE_DIM, NoiseSpec
+from qmontyhall.cli import (
+    MAX_GRID_POINTS,
+    _fmt,
+    _range_values,
+    _write_csv,
+    main,
+    parse_strategy_file,
+)
+from qmontyhall.game import GameConfig, StrategyUnitary, builtin_strategy
 
 IDENTITY_FILE = [[[1, 0], [0, 0], [0, 0]],
                  [[0, 0], [1, 0], [0, 0]],
@@ -332,6 +342,31 @@ class TestSweep:
         code, out, err = run_cli(capsys, "sweep", "--case", "1",
                                  f"--noise-range={noise}", "--gamma-range", gamma)
         assert code == 2 and out == "" and str(MAX_GRID_POINTS) in err
+
+    @pytest.mark.parametrize("noise,gamma", [
+        # axes of 12 and more significant digits that print in exponent form, in
+        # every shape of grid; 50 x 100 points also cross a write boundary
+        ((1.234567890123456e-9, 3e-7, math.e * 1e-5), (2.5e-12, math.pi * 1e-5, 0.7)),
+        ((1e-5,), tuple(i * math.pi * 1e-8 for i in range(50))),
+        (tuple(i * math.e * 1e-7 for i in range(50)), (1e-5,)),
+        (tuple(i * math.e * 1e-7 for i in range(50)),
+         tuple(i * math.pi * 1e-8 for i in range(100))),
+    ])
+    def test_writer_matches_per_point_rule(self, rng, noise, gamma):
+        # Haar strategies and states under both noise families; every line is
+        # what `_fmt` makes of its point
+        for kind in ("se", "gp"):
+            cfg = GameConfig(random_state(rng, STATE_DIM),
+                             StrategyUnitary(haar_unitary(rng, 3), name="haar-a"),
+                             StrategyUnitary(haar_unitary(rng, 3), name="haar-b"),
+                             NoiseSpec.of(kind, 0.0), 0.0)
+            table = sweep(cfg, noise, gamma)
+            sink = io.StringIO()
+            _write_csv(sink, table)
+            expected = [f"{_fmt(x)},{_fmt(g)},{_fmt(p)}\n" for x, g, p in table.rows]
+            # compared line by line, so a failure names the first line that differs
+            assert sink.getvalue().splitlines(True) == ["noise,gamma,payoff\n", *expected]
+            assert any("e-" in line for line in expected)
 
     def test_out_directory_missing(self, tmp_path, capsys):
         target = tmp_path / "missing" / "table.csv"

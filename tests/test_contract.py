@@ -1,11 +1,14 @@
 """The names, parameters and fields that the benchmark in ``perfbench/`` drives.
 
 Removing or renaming one of them breaks the benchmark, so this pins them
-in the test suite, where a pruning of the package shows at once.
+in the test suite, where a pruning of the package shows at once.  The
+package root re-exports none of them: each has one import path, its module.
 """
 
 import dataclasses
 import inspect
+import subprocess
+import sys
 
 from qmontyhall import analysis, channels, cli, game
 
@@ -15,7 +18,6 @@ def test_benchmark_driven_names_keep_their_signatures():
         analysis.sweep: ["target", "noise_values", "gamma_values"],
         analysis.verify_case: ["case", "noise_values", "gamma_values"],
         analysis.threshold: ["case", "lo", "hi"],
-        analysis.gamma_coefficients: ["payoff"],
         game.play: ["cfg"],
         game.GameConfig: ["initial", "alice", "bob", "noise", "gamma"],
         game.StrategyUnitary: ["matrix", "name"],
@@ -35,3 +37,13 @@ def test_benchmark_driven_names_keep_their_signatures():
     assert "payoff" in fields[game.GameOutcome]
     assert {"case", "max_abs_error", "passed", "points"} <= fields[analysis.VerifyReport]
     assert isinstance(analysis.SweepTable.rows, property)
+
+
+def test_package_root_reexports_nothing():
+    # each name is imported from its module: a bare `import qmontyhall`, in a
+    # fresh interpreter, binds nothing but the module's dunders and loads no numpy
+    probe = ("import sys, qmontyhall; "
+             "print(sorted(n for n in vars(qmontyhall) if not n.startswith('__')), "
+             "'numpy' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0 and result.stdout == "[] False\n", result.stderr
