@@ -277,8 +277,12 @@ def _cmd_sweep(args, parser) -> int:
         raise CliError(EXIT_USAGE, "sweep needs --channel se or gp for the noise axis")
     noise_values, gamma_values = _grid_values(args)
     with _domain():
-        # the noise value and gamma of the configuration are not used
-        table = analysis.sweep(build(0.0, 0.0), noise_values, gamma_values)
+        try:
+            # the noise value and gamma of the configuration are not used
+            table = analysis.sweep(build(0.0, 0.0), noise_values, gamma_values)
+        except analysis.PayoffRangeError as err:
+            # a simulated payoff the table refuses, with every parameter in its domain
+            raise CliError(EXIT_FAIL, str(err)) from None
     if not args.out:
         _write_csv(sys.stdout, table)
         return EXIT_OK

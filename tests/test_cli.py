@@ -324,6 +324,18 @@ class TestSweep:
         assert code == 4 and out == "" and "error probability" in err
         assert not target.exists()
 
+    @pytest.mark.parametrize("out_file", [False, True])
+    def test_nan_simulation_fails(self, monkeypatch, tmp_path, capsys, out_file):
+        # every parameter is in its domain, so the refused table is a failure
+        # (exit 1, as in verify), not exit 4
+        monkeypatch.setattr("qmontyhall.analysis.branch_probabilities",
+                            lambda cfg: lambda noise: (math.nan, math.nan))
+        target = tmp_path / "table.csv"
+        args = ["sweep", "--case", "1", "--noise-range", "0:1:0.5", "--gamma-range", "0:1:0.5"]
+        code, out, err = run_cli(capsys, *args, *(["--out", str(target)] if out_file else []))
+        assert (code, out, err) == (1, "", "error: payoff nan outside [0, 1]\n")
+        assert not target.exists()
+
     def test_bad_range_grammar(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--case", "1",
                                "--noise-range", "0:1", "--gamma-range", "0:0:1")

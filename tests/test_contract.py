@@ -7,8 +7,12 @@ package root re-exports none of them: each has one import path, its module.
 
 import dataclasses
 import inspect
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from qmontyhall import analysis, channels, cli, game
 
@@ -39,11 +43,63 @@ def test_benchmark_driven_names_keep_their_signatures():
     assert isinstance(analysis.SweepTable.rows, property)
 
 
+def _fresh(probe: str, **env: str) -> str:
+    """stdout of `probe` in a fresh interpreter, OPENBLAS_NUM_THREADS unset
+    unless given."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**base, **env})
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 def test_package_root_reexports_nothing():
     # each name is imported from its module: a bare `import qmontyhall`, in a
-    # fresh interpreter, binds nothing but the module's dunders and loads no numpy
-    probe = ("import sys, qmontyhall; "
+    # fresh interpreter, binds nothing but the module's dunders, loads no numpy
+    # (so the entry point can still set numpy's thread count) and leaves the
+    # environment as it was
+    probe = ("import os, sys; env = dict(os.environ); import qmontyhall; "
              "print(sorted(n for n in vars(qmontyhall) if not n.startswith('__')), "
-             "'numpy' in sys.modules)")
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-    assert result.returncode == 0 and result.stdout == "[] False\n", result.stderr
+             "'numpy' in sys.modules, dict(os.environ) == env)")
+    assert _fresh(probe) == "[] False True\n"
+
+
+# the thread count numpy sees as it loads, and the one left afterwards
+_BLAS_THREADS_PROBE = """
+import os, sys
+seen = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.meta_path.insert(0, Spy())
+import qmontyhall.__main__
+print(seen, os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.parametrize("preset,expected", [(None, "['1'] 1\n"), ("2", "['2'] 2\n")],
+                         ids=["unset", "preset"])
+def test_entry_point_defaults_to_one_blas_thread(preset, expected):
+    env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+    assert _fresh(_BLAS_THREADS_PROBE, **env) == expected
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_entry_point_import_keeps_gc_state_and_main_freezes(enabled):
+    # importing the entry point leaves the importer's collector as it was;
+    # main() freezes the import heap before it runs the command
+    probe = ("import gc, sys; " + ("" if enabled else "gc.disable(); ")
+             + "import qmontyhall.__main__ as entry; "
+             "before = (gc.isenabled(), gc.get_freeze_count()); "
+             "sys.argv = ['qmontyhall', 'validate-channel', '--channel', 'gp', '--noise', '0.5']; "
+             "code = entry.main(); "
+             "print(before, code, gc.get_freeze_count() > 0)")
+    assert _fresh(probe).splitlines()[-1] == f"({enabled}, 0) 0 True"
+
+
+def test_script_and_module_share_the_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"qmontyhall": "qmontyhall.__main__:main"}

@@ -2,16 +2,26 @@
 same exit code and byte-identical stdout (see tests/golden/make_corpus.py)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from golden.make_corpus import CORPUS, run
+from golden.make_corpus import CORPUS, HERE, run
+
+import qmontyhall
+
+COMMANDS = ["payoff", "sweep", "verify", "threshold", "validate-channel"]
 
 
-@pytest.mark.parametrize("command", ["payoff", "sweep", "verify", "threshold",
-                                     "validate-channel"])
+def _records():
+    return [json.loads(line) for line in CORPUS.read_text(encoding="utf-8").splitlines()]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 def test_cli_output_matches_corpus(command):
-    records = [json.loads(line) for line in CORPUS.read_text(encoding="utf-8").splitlines()]
-    records = [r for r in records if r["argv"][0] == command]
+    records = [r for r in _records() if r["argv"][0] == command]
     assert records
     changed = []
     for record in records:
@@ -20,3 +30,30 @@ def test_cli_output_matches_corpus(command):
             changed.append((" ".join(record["argv"]), record["exit"], code,
                             record["stdout"], out))
     assert not changed, changed[:5]
+
+
+def test_entry_point_matches_corpus_sample():
+    # the replay above calls cli.main in this process; this runs the first
+    # record of each command, of each exit code and of those reading an input
+    # file through `python -m qmontyhall`, as a user starts it
+    sample = {}
+    for record in _records():
+        argv = record["argv"]
+        kinds = [("command", argv[0]), ("exit", record["exit"])]
+        if record["exit"] == 0 and any(arg.endswith(".json") for arg in argv):
+            kinds.append(("reads a file",))
+        for kind in kinds:
+            sample.setdefault(kind, record)
+    assert {("command", c) for c in COMMANDS} | {("exit", 2), ("exit", 5), ("reads a file",)} \
+        <= set(sample)
+    src = str(Path(qmontyhall.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    changed = []
+    for argv, (code, out) in {tuple(r["argv"]): (r["exit"], r["stdout"])
+                            for r in sample.values()}.items():
+        result = subprocess.run([sys.executable, "-m", "qmontyhall", *argv], cwd=HERE, env=env,
+                                capture_output=True, timeout=60)
+        if (result.returncode, result.stdout) != (code, out.encode()):
+            changed.append((" ".join(argv), code, result.returncode, out, result.stdout))
+    assert not changed, changed
