@@ -5,7 +5,9 @@ on one thread unless ``OPENBLAS_NUM_THREADS`` is set (every product is
 27×27 or smaller, which a thread pool does not speed up, and starting one
 took about 9 ms on a 2-vCPU VM), and the objects that importing leaves
 behind are frozen out of the garbage collector, since they live until the
-process exits.  In-process callers of ``qmontyhall.cli.main`` get neither.
+process exits.  A stdout closed before the output is written (``... | head``)
+ends in exit 2 with no traceback.  In-process callers of
+``qmontyhall.cli.main`` get none of this.
 """
 
 import gc
@@ -21,7 +23,15 @@ from . import cli  # noqa: E402
 def main() -> int:
     # neither the command's collections nor the one at exit walk the import heap
     gc.freeze()
-    return cli.main()
+    try:
+        code = cli.main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: stdout now writes to /dev/null, so the flush at
+        # exit stays quiet, and stderr (maybe the same pipe) gets nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return cli.EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

@@ -3,12 +3,14 @@
 Subcommands: ``payoff`` (one game, JSON out), ``sweep`` (payoff grid, CSV
 out), ``verify`` (simulation vs closed forms), ``threshold`` (strategy
 crossover by bisection) and ``validate-channel`` (trace preservation and
-complete positivity of a noise channel's superoperator).
+complete positivity of a noise channel's superoperator).  --a1/--a2 set
+SE noise only and are refused with any other channel.
 
 Exit codes: 0 success, 1 verification/validation failure, 2 bad flags or
-range, grid over MAX_GRID_POINTS, unparseable input file or unwritable
---out, 3 non-unitary strategy (or non-normalised state) file, 4 parameter
-outside its domain, 5 no strategy crossover in range.
+range, grid over MAX_GRID_POINTS, unparseable input file, unwritable --out
+or stdout closed before the output was written, 3 non-unitary strategy (or
+non-normalised state) file, 4 parameter outside its domain, 5 no strategy
+crossover in range; the type of a library error picks its code (_EXIT_CODES).
 All diagnostics go to stderr; stdout carries only the command's output.
 """
 
@@ -19,7 +21,6 @@ import itertools
 import json
 import math
 import sys
-from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,20 +54,13 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
-@contextmanager
-def _domain():
-    """Report a ValueError in the block (a parameter out of its domain) as exit 4."""
-    try:
-        yield
-    except ValueError as err:
-        raise CliError(EXIT_DOMAIN, str(err)) from None
-
-
-def _print_json(doc: dict) -> None:
-    """Print strict JSON; a non-finite number is a domain error, not NaN."""
-    with _domain():
-        text = json.dumps(doc, allow_nan=False)
-    print(text)
+# The exit code of each library error that `main` reports, most specific type
+# first; any other ValueError is a parameter outside its domain.
+_EXIT_CODES: dict[type[Exception], int] = {
+    analysis.NoSignChangeError: EXIT_NO_CROSSOVER,
+    analysis.PayoffRangeError: EXIT_FAIL,
+    ValueError: EXIT_DOMAIN,
+}
 
 
 def _fmt(x: float) -> str:
@@ -103,6 +97,14 @@ def _parse_range(text: str) -> tuple[float, float, float]:
     if hi < lo:
         raise argparse.ArgumentTypeError(f"range {text!r} runs backwards")
     return lo, hi, step
+
+
+def _parse_cases(text: str) -> list[int]:
+    """verify's --case: every case for ``all``, else the one number given."""
+    try:
+        return sorted(analysis.CASES) if text == "all" else [int(text)]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be 1..7 or 'all', got {text!r}") from None
 
 
 def _range_shape(bounds: tuple[float, float, float]) -> tuple[int, bool]:
@@ -195,18 +197,25 @@ def _resolve_strategy(token: str) -> StrategyUnitary:
 def _apply_case(args, parser: argparse.ArgumentParser) -> None:
     """``--case k`` is shorthand for case k's --state/--alice/--bob/--channel
     and excludes them all; then every flag still unset takes its default."""
-    defaults = {"alice": "id", "bob": "id", "channel": "none", "a1": 1.0, "a2": 1.0}
+    defaults = {"alice": "id", "bob": "id", "channel": "none"}
     if args.case is not None:
-        clashes = [f"--{name}" for name in ("state", *defaults) if getattr(args, name) is not None]
+        clashes = [f"--{n}" for n in ("state", *defaults, "a1", "a2") if vars(args)[n] is not None]
         if clashes:
             parser.error(f"--case cannot be combined with {', '.join(clashes)}")
-        with _domain():
-            spec = analysis.case_spec(args.case)
+        spec = analysis.case_spec(args.case)
         args.state, args.alice, args.bob, args.channel = (
             spec.initial, spec.alice, spec.bob, spec.channel_kind)
     for name, default in defaults.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
+    args.a1, args.a2 = _einstein_coefficients(args)
+
+
+def _einstein_coefficients(args) -> tuple[float, float]:
+    """--a1 and --a2, 1 where unset; refused unless the channel is se."""
+    if args.channel != "se" and (args.a1, args.a2) != (None, None):
+        raise CliError(EXIT_USAGE, "--a1 and --a2 apply only to --channel se")
+    return tuple(1.0 if a is None else a for a in (args.a1, args.a2))
 
 
 def _config_builder(args) -> Callable[[float | None, float], GameConfig]:
@@ -218,9 +227,8 @@ def _config_builder(args) -> Callable[[float | None, float], GameConfig]:
     alice, bob = _resolve_strategy(args.alice), _resolve_strategy(args.bob)
 
     def build(noise: float | None, gamma: float) -> GameConfig:
-        with _domain():
-            noise_spec = NoiseSpec.of(args.channel, noise, args.a1, args.a2)
-            return GameConfig(initial, alice, bob, noise_spec, gamma)
+        noise_spec = NoiseSpec.of(args.channel, noise, args.a1, args.a2)
+        return GameConfig(initial, alice, bob, noise_spec, gamma)
 
     return build
 
@@ -243,14 +251,15 @@ def _cmd_payoff(args, parser) -> int:
         echo["noise"] = _round12(args.noise)
     echo["gamma"] = _round12(args.gamma)
     gamma_star, label = analysis.optimal_gamma(outcome.mixing_coefficient)
-    _print_json({
+    # allow_nan=False: a non-finite number raises ValueError instead of printing NaN
+    print(json.dumps({
         "payoff": _round12(outcome.payoff),
         "p_switch": _round12(outcome.p_switch),
         "p_not_switch": _round12(outcome.p_not_switch),
         "optimal_gamma": _round12(gamma_star),
         "optimal_label": label,
         "config": echo,
-    })
+    }, allow_nan=False))
     return EXIT_OK
 
 
@@ -276,13 +285,8 @@ def _cmd_sweep(args, parser) -> int:
     if args.channel == "none":
         raise CliError(EXIT_USAGE, "sweep needs --channel se or gp for the noise axis")
     noise_values, gamma_values = _grid_values(args)
-    with _domain():
-        try:
-            # the noise value and gamma of the configuration are not used
-            table = analysis.sweep(build(0.0, 0.0), noise_values, gamma_values)
-        except analysis.PayoffRangeError as err:
-            # a simulated payoff the table refuses, with every parameter in its domain
-            raise CliError(EXIT_FAIL, str(err)) from None
+    # the noise value and gamma of the configuration are not used
+    table = analysis.sweep(build(0.0, 0.0), noise_values, gamma_values)
     if not args.out:
         _write_csv(sys.stdout, table)
         return EXIT_OK
@@ -295,17 +299,9 @@ def _cmd_sweep(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    if args.case == "all":
-        cases = sorted(analysis.CASES)
-    else:
-        try:
-            cases = [int(args.case)]
-        except ValueError:
-            parser.error(f"--case must be 1..7 or 'all', got {args.case!r}")
     noise_values, gamma_values = _grid_values(args)
     # every case runs before the first line, so a domain error prints nothing
-    with _domain():
-        reports = [analysis.verify_case(case, noise_values, gamma_values) for case in cases]
+    reports = [analysis.verify_case(case, noise_values, gamma_values) for case in args.case]
     for report in reports:
         status = "pass" if report.passed else "fail"
         print(f"case {report.case}: max_err={report.max_abs_error:.3e} {status}")
@@ -316,24 +312,18 @@ _THRESHOLD_BRACKETS = {"se": (0.01, 3.0), "gp": (0.01, 0.99)}
 
 
 def _cmd_threshold(args, parser) -> int:
-    with _domain():
-        kind = analysis.case_spec(args.case).channel_kind
-        default_lo, default_hi = _THRESHOLD_BRACKETS[kind]
-        lo = args.lo if args.lo is not None else default_lo
-        hi = args.hi if args.hi is not None else default_hi
-        if not lo < hi:
-            raise CliError(EXIT_USAGE, f"bracket [{lo}, {hi}] is empty or runs backwards")
-        try:
-            value = analysis.threshold(args.case, lo, hi)
-        except analysis.NoSignChangeError as err:
-            raise CliError(EXIT_NO_CROSSOVER, str(err)) from None
-    _print_json({"case": args.case, "threshold": _round12(value)})
+    default_lo, default_hi = _THRESHOLD_BRACKETS[analysis.case_spec(args.case).channel_kind]
+    lo = args.lo if args.lo is not None else default_lo
+    hi = args.hi if args.hi is not None else default_hi
+    if not lo < hi:
+        raise CliError(EXIT_USAGE, f"bracket [{lo}, {hi}] is empty or runs backwards")
+    value = analysis.threshold(args.case, lo, hi)
+    print(json.dumps({"case": args.case, "threshold": _round12(value)}, allow_nan=False))
     return EXIT_OK
 
 
 def _cmd_validate_channel(args, parser) -> int:
-    with _domain():
-        s = single_channel(args.channel, args.noise, args.a1, args.a2)
+    s = single_channel(args.channel, args.noise, *_einstein_coefficients(args))
     label = f"SE(t={args.noise:g})" if args.channel == "se" else f"GP(p={args.noise:g})"
     deviations = [("single-qutrit", trace_preservation_deviation(s)),
                   ("choi", complete_positivity_deviation(s))]
@@ -379,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="simulation vs closed forms per case")
-    p_verify.add_argument("--case", default="all", help="1..7 or 'all'")
+    p_verify.add_argument("--case", type=_parse_cases, default="all", help="1..7 or 'all'")
     p_verify.add_argument("--noise-range", type=_parse_range, default=None,
                           metavar="LO:HI:STEP")
     p_verify.add_argument("--gamma-range", type=_parse_range, default=None,
@@ -398,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      "of a noise channel")
     p_validate.add_argument("--channel", choices=("se", "gp"), required=True)
     p_validate.add_argument("--noise", type=float, required=True)
-    p_validate.add_argument("--a1", type=float, default=1.0)
-    p_validate.add_argument("--a2", type=float, default=1.0)
+    p_validate.add_argument("--a1", type=float, help="se only, default 1")
+    p_validate.add_argument("--a2", type=float, help="se only, default 1")
     p_validate.set_defaults(handler=_cmd_validate_channel)
 
     return parser
@@ -410,12 +400,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args, parser)
-    except CliError as err:
+    except (CliError, *_EXIT_CODES) as err:
         print(f"error: {err}", file=sys.stderr)
-        return err.exit_code
+        if isinstance(err, CliError):
+            return err.exit_code
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(err, kind))
     except SystemExit as exc:  # from argparse, also via parser.error in a handler
         return int(exc.code) if exc.code is not None else EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 from conftest import haar_unitary, random_state
 
-from qmontyhall.analysis import CASES, sweep
+import qmontyhall
+from qmontyhall.analysis import CASES, NoSignChangeError, PayoffRangeError, sweep
 from qmontyhall.channels import STATE_DIM, NoiseSpec
 from qmontyhall.cli import (
     MAX_GRID_POINTS,
@@ -151,6 +153,45 @@ class TestPayoff:
         code, out, err = run_cli(capsys, "payoff", "--state", "psi1", "--channel", "se",
                                  flag, value, "--noise", "0")
         assert code == 4 and out == "" and "finite" in err
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("payoff", ["--state", "psi1", "--channel", "gp", "--a1", "-5", "--noise", "0.1"]),
+    ("sweep", ["--state", "psi1", "--channel", "none", "--a2", "2",
+               "--noise-range", "0:1:1", "--gamma-range", "0:0:1"]),
+    ("sweep", ["--state", "psi1", "--channel", "gp", "--a1", "1",
+               "--noise-range", "0:1:1", "--gamma-range", "0:0:1"]),
+    ("validate-channel", ["--channel", "gp", "--noise", "0.5", "--a2", "1"]),
+])
+def test_einstein_coefficients_need_se(capsys, command, flags):
+    code, out, err = run_cli(capsys, command, *flags)
+    assert (code, out) == (2, "") and "only to --channel se" in err
+
+
+# One library call per subcommand, and the argv that reaches it
+LIBRARY_CALLS = {
+    "payoff": ("qmontyhall.cli.play", ["--case", "1", "--noise", "0.5"]),
+    "sweep": ("qmontyhall.analysis.sweep",
+              ["--case", "1", "--noise-range", "0:1:1", "--gamma-range", "0:0:1"]),
+    "verify": ("qmontyhall.analysis.verify_case",
+               ["--case", "1", "--noise-range", "0:1:1", "--gamma-range", "0:0:1"]),
+    "threshold": ("qmontyhall.analysis.threshold", ["--case", "1"]),
+    "validate-channel": ("qmontyhall.cli.complete_positivity_deviation",
+                         ["--channel", "se", "--noise", "1"]),
+}
+
+
+@pytest.mark.parametrize("error,expected", [
+    (NoSignChangeError, 5), (PayoffRangeError, 1), (ValueError, 4)])
+@pytest.mark.parametrize("command", sorted(LIBRARY_CALLS))
+def test_library_error_picks_exit_code(monkeypatch, capsys, command, error, expected):
+    target, flags = LIBRARY_CALLS[command]
+
+    def fail(*args, **kwargs):
+        raise error("refused")
+
+    monkeypatch.setattr(target, fail)
+    assert run_cli(capsys, command, *flags) == (expected, "", "error: refused\n")
 
 
 class TestStrategyFiles:
@@ -490,7 +531,40 @@ class TestValidateChannel:
         assert code == 4 and out == "" and "finite" in err
 
 
+def _module_command(*argv):
+    """Popen arguments running ``python -m qmontyhall argv`` on this checkout,
+    with stdout block-buffered as a pipe is by default."""
+    src = str(Path(qmontyhall.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return {"args": [sys.executable, "-m", "qmontyhall", *argv], "env": env}
+
+
 class TestEntryPoint:
+    def test_stdout_closed_mid_output(self):
+        # some 4.5 MB of CSV: the reader takes one line and leaves, so a later
+        # write fails with EPIPE
+        proc = subprocess.Popen(stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                **_module_command("sweep", "--case", "6",
+                                                  "--noise-range", "0:1:0.001",
+                                                  "--gamma-range", "0:1.5:0.01"))
+        assert proc.stdout.readline() == b"noise,gamma,payoff\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert b"Traceback" not in err and err == b""
+
+    def test_stdout_closed_before_output(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+                                    **_module_command("payoff", "--case", "1", "--noise", "0"))
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (2, b"")
+
     def test_module_invocation(self):
         result = subprocess.run(
             [sys.executable, "-m", "qmontyhall", "payoff", "--case", "1",

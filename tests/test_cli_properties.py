@@ -83,12 +83,14 @@ COMMANDS = {
 
 # Lines that crashed, hung, printed NaN, accepted a reversed bracket, left
 # partial output before an error, called a range whose STEP is below the
-# float spacing a domain error or ran --case next to an explicit flag that
-# held its default value; every run checks them besides the drawn ones.
+# float spacing a domain error, ran --case next to an explicit flag that
+# held its default value or ignored --a1/--a2 without --channel se; every run
+# checks them besides the drawn ones.
 KNOWN_DEFECTS = {
     "payoff": [["payoff", "--state", "psi1", "--channel", "se", "--a1", "inf", "--noise", "0"],
                ["payoff", "--case", "4", "--noise", "0.5", "--alice", "id"],
-               ["payoff", "--case", "1", "--noise", "0.5", "--channel", "none"]],
+               ["payoff", "--case", "1", "--noise", "0.5", "--channel", "none"],
+               ["payoff", "--state", "psi1", "--channel", "gp", "--a1", "-5", "--noise", "0.1"]],
     "sweep": [["sweep", "--case", "1", "--noise-range", r, "--gamma-range", "0:1:0.5"]
               for r in ("0:nan:0.1", "0:inf:0.1", "0:1:nan", "0:1e9:1e-3")]
     + [["sweep", "--case", "1", "--noise-range", "0:1:0.5", "--gamma-range", "0:1:0.5",
@@ -98,13 +100,16 @@ KNOWN_DEFECTS = {
        ["sweep", "--case", "1", "--noise-range", "0:0:1",
         "--gamma-range", "1:1.0000000000000002:1e-17"],
        ["sweep", "--case", "6", "--bob", "id", "--noise-range", "0:1:0.5",
+        "--gamma-range", "0:0:1"],
+       ["sweep", "--state", "psi1", "--channel", "gp", "--a1", "2", "--noise-range", "0:1:0.5",
         "--gamma-range", "0:0:1"]],
     "verify": [["verify", "--case", "1", "--noise-range", "0:1e9:1e-3", "--gamma-range", "0:0:1"],
                ["verify", "--case", "all", "--noise-range", "0:3:1.5", "--gamma-range", "0:0:1"],
                ["verify", "--case", "6", "--noise-range", "0.5:0.5000000000000001:1e-18"]],
     "threshold": [["threshold", "--case", "1", "--lo", "0.01", "--hi", "1e40"],
                   ["threshold", "--case", "1", "--lo", "3", "--hi", "0.01"]],
-    "validate-channel": [["validate-channel", "--channel", "se", "--noise", "0", "--a1", "inf"]],
+    "validate-channel": [["validate-channel", "--channel", "se", "--noise", "0", "--a1", "inf"],
+                         ["validate-channel", "--channel", "gp", "--noise", "0.5", "--a1", "2"]],
 }
 
 
