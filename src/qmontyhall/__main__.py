@@ -6,7 +6,8 @@ on one thread unless ``OPENBLAS_NUM_THREADS`` is set (every product is
 took about 9 ms on a 2-vCPU VM), and the objects that importing leaves
 behind are frozen out of the garbage collector, since they live until the
 process exits.  A stdout closed before the output is written (``... | head``)
-ends in exit 2 with no traceback.  In-process callers of
+ends in exit 2 with no traceback; a process started without a stderr keeps
+its exit code and writes no diagnostic to stdout.  In-process callers of
 ``qmontyhall.cli.main`` get none of this.
 """
 
@@ -23,6 +24,8 @@ from . import cli  # noqa: E402
 def main() -> int:
     # neither the command's collections nor the one at exit walk the import heap
     gc.freeze()
+    if sys.stderr is None:  # no descriptor 2: argparse would print usage to stdout
+        sys.stderr = open(os.devnull, "w")
     try:
         code = cli.main()
         sys.stdout.flush()

@@ -73,7 +73,12 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in ("none", "se", "gp"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        check_noise(self.kind, self.t if self.kind == "se" else self.p, self.a1, self.a2)
+        check_noise(self.kind, self.value, self.a1, self.a2)
+
+    @property
+    def value(self) -> float:
+        """The noise level: the time t for "se", the error probability p otherwise."""
+        return self.t if self.kind == "se" else self.p
 
     @classmethod
     def of(cls, kind: str, value: float | None = None,

@@ -10,18 +10,19 @@ Exit codes: 0 success, 1 verification/validation failure, 2 bad flags or
 range, grid over MAX_GRID_POINTS, unparseable input file, unwritable --out
 or stdout closed before the output was written, 3 non-unitary strategy (or
 non-normalised state) file, 4 parameter outside its domain, 5 no strategy
-crossover in range; the type of a library error picks its code (_EXIT_CODES).
-All diagnostics go to stderr; stdout carries only the command's output.
+crossover in range; the error's type picks every code (_EXIT_CODES), and a
+closed stderr keeps it.  Diagnostics go to stderr; stdout holds only output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
 import sys
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -47,16 +48,22 @@ EXIT_NO_CROSSOVER = 5
 # grids are refused with exit 2 before any grid is built.
 MAX_GRID_POINTS = 1_000_000
 
-
-class CliError(Exception):
-    def __init__(self, exit_code: int, message: str):
-        super().__init__(message)
-        self.exit_code = exit_code
+T = TypeVar("T")
 
 
-# The exit code of each library error that `main` reports, most specific type
-# first; any other ValueError is a parameter outside its domain.
+class UsageError(Exception):
+    """A refused flag, range, input file or output."""
+
+
+class NotUnitaryError(Exception):
+    """A strategy file that is not unitary or a state file that is not normalised."""
+
+
+# The exit code of each error that `main` reports, most specific type first;
+# any other ValueError is a parameter outside its domain.
 _EXIT_CODES: dict[type[Exception], int] = {
+    UsageError: EXIT_USAGE,
+    NotUnitaryError: EXIT_NOT_UNITARY,
     analysis.NoSignChangeError: EXIT_NO_CROSSOVER,
     analysis.PayoffRangeError: EXIT_FAIL,
     ValueError: EXIT_DOMAIN,
@@ -129,8 +136,8 @@ def _range_values(bounds: tuple[float, float, float]) -> tuple[float, ...]:
     count, inclusive = _range_shape(bounds)
     values = tuple(hi if inclusive and i == count - 1 else lo + i * step for i in range(count))
     if any(b <= a for a, b in itertools.pairwise(values)):
-        raise CliError(EXIT_USAGE, f"range {lo!r}:{hi!r}:{step!r} repeats values: "
-                                   "STEP is below the float spacing")
+        raise UsageError(f"range {lo!r}:{hi!r}:{step!r} repeats values: "
+                         "STEP is below the float spacing")
     return values
 
 
@@ -142,49 +149,38 @@ def _grid_values(args) -> list[tuple[float, ...] | None]:
     points = math.prod(_range_shape(r)[0] if r else analysis.DEFAULT_GRID_POINTS
                        for r in ranges)
     if points > MAX_GRID_POINTS:
-        raise CliError(EXIT_USAGE, f"grid has more than {MAX_GRID_POINTS} points")
+        raise UsageError(f"grid has more than {MAX_GRID_POINTS} points")
     return [_range_values(r) if r else None for r in ranges]
 
 
 def parse_strategy_file(path: str) -> StrategyUnitary:
-    """Load a 3x3 strategy from a JSON file of [re, im] pairs, row-major.
-
-    The top level must be an array of 3 rows, each 3 entries, each a
-    two-number [re, im] array; the matrix must be unitary within 1e-9.
-    """
-    matrix = _complex_array_from_file(path, (3, 3))
-    try:
-        return StrategyUnitary(matrix, name=path)
-    except ValueError as err:
-        raise CliError(EXIT_NOT_UNITARY, f"{path}: {err}") from None
+    """Load a 3x3 strategy, unitary within 1e-9, from a JSON array of 3 rows,
+    each 3 two-number [re, im] arrays."""
+    return _complex_array_from_file(path, (3, 3), lambda m: StrategyUnitary(m, name=path))
 
 
-def parse_state_file(path: str) -> np.ndarray:
-    """Load a 27-dim initial state from a JSON file of 27 [re, im] pairs."""
-    try:
-        return check_state(_complex_array_from_file(path, (STATE_DIM,)))
-    except ValueError as err:
-        raise CliError(EXIT_NOT_UNITARY, f"{path}: {err}") from None
-
-
-def _complex_array_from_file(path: str, shape: tuple[int, ...]) -> np.ndarray:
+def _complex_array_from_file(path: str, shape: tuple[int, ...],
+                             check: Callable[[np.ndarray], T]) -> T:
+    """``check`` of the file's [re, im] pairs of ``shape``; a ValueError is NotUnitaryError."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as err:
-        raise CliError(EXIT_USAGE, f"cannot read {path}: {err}") from None
+        raise UsageError(f"cannot read {path}: {err}") from None
     except json.JSONDecodeError as err:
-        raise CliError(EXIT_USAGE, f"{path}: invalid JSON: {err}") from None
+        raise UsageError(f"{path}: invalid JSON: {err}") from None
     try:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError):
-        raise CliError(EXIT_USAGE, f"{path}: expected nested arrays of numbers") from None
+        raise UsageError(f"{path}: expected nested arrays of numbers") from None
     if arr.shape != shape + (2,):
-        raise CliError(EXIT_USAGE,
-                       f"{path}: expected shape {shape} of [re, im] pairs, got {arr.shape}")
+        raise UsageError(f"{path}: expected shape {shape} of [re, im] pairs, got {arr.shape}")
     if not np.isfinite(arr).all():
-        raise CliError(EXIT_USAGE, f"{path}: entries must be finite")
-    return arr[..., 0] + 1j * arr[..., 1]
+        raise UsageError(f"{path}: entries must be finite")
+    try:
+        return check(arr[..., 0] + 1j * arr[..., 1])
+    except ValueError as err:
+        raise NotUnitaryError(f"{path}: {err}") from None
 
 
 def _resolve_strategy(token: str) -> StrategyUnitary:
@@ -194,14 +190,23 @@ def _resolve_strategy(token: str) -> StrategyUnitary:
     return parse_strategy_file(token)
 
 
-def _apply_case(args, parser: argparse.ArgumentParser) -> None:
-    """``--case k`` is shorthand for case k's --state/--alice/--bob/--channel
-    and excludes them all; then every flag still unset takes its default."""
+def _einstein_coefficients(args) -> tuple[float, float]:
+    """--a1 and --a2, 1 where unset; refused unless the channel is se."""
+    if args.channel != "se" and (args.a1, args.a2) != (None, None):
+        raise UsageError("--a1 and --a2 apply only to --channel se")
+    return tuple(1.0 if a is None else a for a in (args.a1, args.a2))
+
+
+def _config_builder(args) -> Callable[[float | None, float], GameConfig]:
+    """Parse the configuration flags once; the result builds the GameConfig
+    at a given (noise, gamma).  ``--case k`` is shorthand for case k's
+    --state/--alice/--bob/--channel and excludes them all; then every flag
+    still unset takes its default."""
     defaults = {"alice": "id", "bob": "id", "channel": "none"}
     if args.case is not None:
         clashes = [f"--{n}" for n in ("state", *defaults, "a1", "a2") if vars(args)[n] is not None]
         if clashes:
-            parser.error(f"--case cannot be combined with {', '.join(clashes)}")
+            raise UsageError(f"--case cannot be combined with {', '.join(clashes)}")
         spec = analysis.case_spec(args.case)
         args.state, args.alice, args.bob, args.channel = (
             spec.initial, spec.alice, spec.bob, spec.channel_kind)
@@ -209,21 +214,10 @@ def _apply_case(args, parser: argparse.ArgumentParser) -> None:
         if getattr(args, name) is None:
             setattr(args, name, default)
     args.a1, args.a2 = _einstein_coefficients(args)
-
-
-def _einstein_coefficients(args) -> tuple[float, float]:
-    """--a1 and --a2, 1 where unset; refused unless the channel is se."""
-    if args.channel != "se" and (args.a1, args.a2) != (None, None):
-        raise CliError(EXIT_USAGE, "--a1 and --a2 apply only to --channel se")
-    return tuple(1.0 if a is None else a for a in (args.a1, args.a2))
-
-
-def _config_builder(args) -> Callable[[float | None, float], GameConfig]:
-    """Parse the configuration flags once; the result builds the GameConfig
-    at a given (noise, gamma)."""
     if args.state is None:
-        raise CliError(EXIT_USAGE, "either --case or --state is required")
-    initial = args.state if args.state in game.STATE_NAMES else parse_state_file(args.state)
+        raise UsageError("either --case or --state is required")
+    initial = (args.state if args.state in game.STATE_NAMES
+               else _complex_array_from_file(args.state, (STATE_DIM,), check_state))
     alice, bob = _resolve_strategy(args.alice), _resolve_strategy(args.bob)
 
     def build(noise: float | None, gamma: float) -> GameConfig:
@@ -233,15 +227,14 @@ def _config_builder(args) -> Callable[[float | None, float], GameConfig]:
     return build
 
 
-def _cmd_payoff(args, parser) -> int:
-    _apply_case(args, parser)
+def _cmd_payoff(args) -> int:
     build = _config_builder(args)
     if args.channel == "none" and args.noise is not None:
-        raise CliError(EXIT_USAGE, "--noise is meaningless with --channel none")
+        raise UsageError("--noise is meaningless with --channel none")
     if args.channel != "none" and args.noise is None:
         if args.case is not None:
-            raise CliError(EXIT_USAGE, "--case requires --noise")
-        raise CliError(EXIT_USAGE, f"--noise is required with --channel {args.channel}")
+            raise UsageError("--case requires --noise")
+        raise UsageError(f"--noise is required with --channel {args.channel}")
     outcome = play(build(args.noise, args.gamma))
     echo = {} if args.case is None else {"case": args.case}
     echo.update(state=args.state, alice=args.alice, bob=args.bob, channel=args.channel)
@@ -279,11 +272,10 @@ def _write_csv(fh, table: analysis.SweepTable) -> None:
         fh.write(chunk)
 
 
-def _cmd_sweep(args, parser) -> int:
-    _apply_case(args, parser)
+def _cmd_sweep(args) -> int:
     build = _config_builder(args)
     if args.channel == "none":
-        raise CliError(EXIT_USAGE, "sweep needs --channel se or gp for the noise axis")
+        raise UsageError("sweep needs --channel se or gp for the noise axis")
     noise_values, gamma_values = _grid_values(args)
     # the noise value and gamma of the configuration are not used
     table = analysis.sweep(build(0.0, 0.0), noise_values, gamma_values)
@@ -294,11 +286,11 @@ def _cmd_sweep(args, parser) -> int:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             _write_csv(fh, table)
     except OSError as err:
-        raise CliError(EXIT_USAGE, f"cannot write {args.out}: {err}") from None
+        raise UsageError(f"cannot write {args.out}: {err}") from None
     return EXIT_OK
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args) -> int:
     noise_values, gamma_values = _grid_values(args)
     # every case runs before the first line, so a domain error prints nothing
     reports = [analysis.verify_case(case, noise_values, gamma_values) for case in args.case]
@@ -311,18 +303,18 @@ def _cmd_verify(args, parser) -> int:
 _THRESHOLD_BRACKETS = {"se": (0.01, 3.0), "gp": (0.01, 0.99)}
 
 
-def _cmd_threshold(args, parser) -> int:
+def _cmd_threshold(args) -> int:
     default_lo, default_hi = _THRESHOLD_BRACKETS[analysis.case_spec(args.case).channel_kind]
     lo = args.lo if args.lo is not None else default_lo
     hi = args.hi if args.hi is not None else default_hi
     if not lo < hi:
-        raise CliError(EXIT_USAGE, f"bracket [{lo}, {hi}] is empty or runs backwards")
+        raise UsageError(f"bracket [{lo}, {hi}] is empty or runs backwards")
     value = analysis.threshold(args.case, lo, hi)
     print(json.dumps({"case": args.case, "threshold": _round12(value)}, allow_nan=False))
     return EXIT_OK
 
 
-def _cmd_validate_channel(args, parser) -> int:
+def _cmd_validate_channel(args) -> int:
     s = single_channel(args.channel, args.noise, *_einstein_coefficients(args))
     label = f"SE(t={args.noise:g})" if args.channel == "se" else f"GP(p={args.noise:g})"
     deviations = [("single-qutrit", trace_preservation_deviation(s)),
@@ -334,7 +326,7 @@ def _cmd_validate_channel(args, parser) -> int:
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
-    # no defaults here, so that a flag given next to --case shows; see _apply_case
+    # no defaults here, so that a flag given next to --case shows; see _config_builder
     sub.add_argument("--case", type=int, help="named case 1..7 (excludes the explicit flags)")
     sub.add_argument("--state", help="psi1, psi2, or a JSON state file")
     sub.add_argument("--alice", help="id (default), h, or a JSON strategy file")
@@ -399,11 +391,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args, parser)
-    except (CliError, *_EXIT_CODES) as err:
-        print(f"error: {err}", file=sys.stderr)
-        if isinstance(err, CliError):
-            return err.exit_code
+        return args.handler(args)
+    except tuple(_EXIT_CODES) as err:
+        # a closed or absent (None) stderr keeps the code, as in argparse's _print_message
+        with contextlib.suppress(AttributeError, OSError):
+            sys.stderr.write(f"error: {err}\n")
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(err, kind))
-    except SystemExit as exc:  # from argparse, also via parser.error in a handler
+    except SystemExit as exc:  # from argparse
         return int(exc.code) if exc.code is not None else EXIT_OK

@@ -213,7 +213,6 @@ def branch_probabilities(cfg: GameConfig) -> Callable[[float], tuple[float, floa
 def play(cfg: GameConfig) -> GameOutcome:
     """Evaluate one round at cfg's noise; the payoff mixes the two branch
     probabilities with weights cos(gamma)^2 (switch) and sin(gamma)^2 (stay)."""
-    noise = cfg.noise
-    p_switch, p_not_switch = branch_probabilities(cfg)(noise.t if noise.kind == "se" else noise.p)
+    p_switch, p_not_switch = branch_probabilities(cfg)(cfg.noise.value)
     payoff = math.cos(cfg.gamma) ** 2 * p_switch + math.sin(cfg.gamma) ** 2 * p_not_switch
     return GameOutcome(payoff=payoff, p_switch=p_switch, p_not_switch=p_not_switch)

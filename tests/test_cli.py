@@ -121,7 +121,7 @@ class TestPayoff:
         tail = (["--noise", "0.5"] if command == "payoff"
                 else ["--noise-range", "0:1:1", "--gamma-range", "0:0:1"])
         code, out, err = run_cli(capsys, command, "--case", "4", flag, value, *tail)
-        assert code == 2 and out == "" and f"--case cannot be combined with {flag}" in err
+        assert (code, out, err) == (2, "", f"error: --case cannot be combined with {flag}\n")
 
     def test_noise_domain(self, capsys):
         code, out, err = run_cli(capsys, "payoff", "--case", "6", "--noise", "1.5")
@@ -564,6 +564,27 @@ class TestEntryPoint:
         finally:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (2, b"")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["payoff", "--bogus"], 2),
+        (["payoff", "--state", "psi1", "--channel", "gp", "--a1", "2", "--noise", "0"], 2),
+        (["payoff", "--state", str(Path(__file__).parent / "golden" / "unnormalised.json"),
+          "--channel", "gp", "--noise", "0"], 3),
+        (["payoff", "--case", "9", "--noise", "0"], 4),
+        (["threshold", "--case", "5", "--lo", "0.01", "--hi", "0.3"], 5),
+    ], ids=["unknown-flag", "a1-with-gp", "unnormalised-state", "unknown-case", "no-crossover"])
+    def test_stderr_closed_keeps_the_exit_code(self, argv, code):
+        # the error line cannot be written: the code must not become 1, and
+        # neither it nor argparse's usage line may go to stdout instead
+        command = _module_command(*argv)
+        result = subprocess.run(["sh", "-c", '"$@" 2>&-', "sh", *command["args"]],
+                                env=command["env"], stdout=subprocess.PIPE, timeout=60)
+        assert (result.returncode, result.stdout) == (code, b"")
+
+    def test_absent_stderr_keeps_the_exit_code_in_process(self, capsys, monkeypatch):
+        # sys.stderr is None in a process started without descriptor 2
+        monkeypatch.setattr(sys, "stderr", None)
+        assert run_cli(capsys, "payoff", "--case", "9", "--noise", "0")[:2] == (4, "")
 
     def test_module_invocation(self):
         result = subprocess.run(
