@@ -164,45 +164,13 @@ def threshold(case: int, lo: float, hi: float) -> float:
     return mid
 
 
-class SweepRows(Sequence):
-    """A `SweepTable`'s (noise, gamma, payoff) triples in noise-major order,
-    made as they are read; it compares, hashes and prints as the tuple of
-    tuples it stands for."""
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class SweepTable(Sequence):
+    """Payoffs on a (noise, gamma) grid: one float64 per point, noise-major.
 
-    __slots__ = ("_noise", "_gamma", "_payoffs")
-
-    def __init__(self, noise_values, gamma_values, payoffs):
-        self._noise, self._gamma, self._payoffs = noise_values, gamma_values, payoffs
-
-    def __len__(self) -> int:
-        return len(self._payoffs)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(*index.indices(len(self)))))
-        payoff = self._payoffs[index]  # IndexError, or a negative index, as a tuple's
-        x, g = divmod(index % len(self), len(self._gamma))
-        return self._noise[x], self._gamma[g], payoff
-
-    def __iter__(self):
-        payoffs = iter(self._payoffs)
-        return ((x, g, next(payoffs)) for x in self._noise for g in self._gamma)
-
-    def __eq__(self, other):
-        if isinstance(other, (SweepRows, tuple)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
-@dataclass(frozen=True)
-class SweepTable:
-    """Payoffs on a (noise, gamma) grid: one float64 per point, noise-major."""
+    The table is the sequence of its (noise, gamma, payoff) triples, made as
+    they are read; it compares, hashes and prints as the tuple of tuples it
+    stands for."""
 
     noise_values: tuple[float, ...]
     gamma_values: tuple[float, ...]
@@ -218,9 +186,34 @@ class SweepTable:
                 raise PayoffRangeError(f"payoff {extreme} outside [0, 1]")
 
     @property
-    def rows(self) -> SweepRows:
-        """The (noise, gamma, payoff) triples, as Python floats."""
-        return SweepRows(self.noise_values, self.gamma_values, self.payoffs)
+    def rows(self) -> SweepTable:
+        """The (noise, gamma, payoff) triples, as Python floats: the table itself."""
+        return self
+
+    def __len__(self) -> int:
+        return len(self.payoffs)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(*index.indices(len(self)))))
+        payoff = self.payoffs[index]  # IndexError, or a negative index, as a tuple's
+        x, g = divmod(index % len(self), len(self.gamma_values))
+        return self.noise_values[x], self.gamma_values[g], payoff
+
+    def __iter__(self):
+        payoffs = iter(self.payoffs)
+        return ((x, g, next(payoffs)) for x in self.noise_values for g in self.gamma_values)
+
+    def __eq__(self, other):
+        if isinstance(other, (SweepTable, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 def _check_grid(values, name: str) -> tuple[float, ...]:
@@ -320,9 +313,9 @@ def verify_case(case: int, noise_values=None, gamma_values=None) -> VerifyReport
                             points=len(noise_values) * len(gamma_values))
     formula = _CASE_FORMULAS[case]
     worst = 0.0
-    for x, g, payoff in table.rows:
+    for x, g, payoff in table:
         error = abs(payoff - formula(x, g))
         if not error <= worst:
             worst = math.inf if math.isnan(error) else error
     return VerifyReport(case=case, max_abs_error=worst, passed=worst <= FORMULA_TOL,
-                        points=len(table.payoffs))
+                        points=len(table))

@@ -7,7 +7,8 @@ complete positivity of a noise channel's superoperator).  --a1/--a2 set
 SE noise only and are refused with any other channel.
 
 Exit codes: 0 success, 1 verification/validation failure, 2 bad flags or
-range, grid over MAX_GRID_POINTS, unparseable input file, unwritable --out
+range, grid over MAX_GRID_POINTS, input file over MAX_INPUT_BYTES or
+unparseable (not UTF-8 JSON, or nested too deep), unwritable --out
 or stdout closed before the output was written, 3 non-unitary strategy (or
 non-normalised state) file, 4 parameter outside its domain, 5 no strategy
 crossover in range; the error's type picks every code (_EXIT_CODES), and a
@@ -47,6 +48,10 @@ EXIT_NO_CROSSOVER = 5
 # Most (noise, gamma) points one sweep or verify run may ask for; larger
 # grids are refused with exit 2 before any grid is built.
 MAX_GRID_POINTS = 1_000_000
+
+# Largest --state/--alice/--bob file read, some 200 times a pretty-printed
+# state file; a longer file is refused with exit 2 before it is parsed.
+MAX_INPUT_BYTES = 1 << 20
 
 T = TypeVar("T")
 
@@ -163,11 +168,15 @@ def _complex_array_from_file(path: str, shape: tuple[int, ...],
                              check: Callable[[np.ndarray], T]) -> T:
     """``check`` of the file's [re, im] pairs of ``shape``; a ValueError is NotUnitaryError."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read(MAX_INPUT_BYTES + 1)
     except OSError as err:
         raise UsageError(f"cannot read {path}: {err}") from None
-    except json.JSONDecodeError as err:
+    if len(raw) > MAX_INPUT_BYTES:
+        raise UsageError(f"{path}: longer than {MAX_INPUT_BYTES} bytes")
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
         raise UsageError(f"{path}: invalid JSON: {err}") from None
     try:
         arr = np.asarray(data, dtype=float)

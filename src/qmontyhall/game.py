@@ -144,10 +144,11 @@ def check_state(v) -> np.ndarray:
 @dataclass(frozen=True)
 class GameConfig:
     """Everything that determines one round: initial state ("psi1", "psi2"
-    or a custom normalised 27-dim vector), both players' unitaries, the
-    noise to apply first, and the switch/stay mixing angle gamma."""
+    or a custom normalised 27-dim vector, held as the checked complex
+    vector), both players' unitaries, the noise to apply first, and the
+    switch/stay mixing angle gamma."""
 
-    initial: str | np.ndarray
+    initial: np.ndarray
     alice: StrategyUnitary
     bob: StrategyUnitary
     noise: NoiseSpec
@@ -155,15 +156,8 @@ class GameConfig:
 
     def __post_init__(self):
         check_gamma(self.gamma)
-        if isinstance(self.initial, str):
-            initial_state(self.initial)  # ValueError for an unknown name
-        else:
-            object.__setattr__(self, "initial", check_state(self.initial))
-
-    def initial_vector(self) -> np.ndarray:
-        if isinstance(self.initial, str):
-            return initial_state(self.initial)
-        return self.initial
+        v = initial_state(self.initial) if isinstance(self.initial, str) else self.initial
+        object.__setattr__(self, "initial", check_state(v))
 
 
 @dataclass(frozen=True)
@@ -191,8 +185,7 @@ def branch_probabilities(cfg: GameConfig) -> Callable[[float], tuple[float, floa
     the noise N, of cfg's family and Einstein coefficients, is built and
     applied per call.  cfg's own noise value and gamma are not used.
     """
-    v = cfg.initial_vector()
-    rho = np.outer(v, v.conj())
+    rho = np.outer(cfg.initial, cfg.initial.conj())
     moves = np.kron(np.kron(np.eye(3, dtype=complex), cfg.bob.matrix), cfg.alice.matrix)
     # M† diag(w) M, with the columns of M† weighted by the win indicator
     effects = [(moves.conj().T * w) @ moves for w in (WIN_SWITCH, WIN_STAY)]

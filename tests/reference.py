@@ -95,7 +95,7 @@ def _branches(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def evolve(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
     """Run the full pipeline and return (rho_switch, rho_not_switch)."""
     m = _moves(cfg)
-    return _branches(m @ _noisy(cfg, density_from_pure(cfg.initial_vector())) @ m.conj().T)
+    return _branches(m @ _noisy(cfg, density_from_pure(cfg.initial)) @ m.conj().T)
 
 
 def evolve_noise_after_moves(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +104,7 @@ def evolve_noise_after_moves(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
     Only a noise that commutes with every local unitary, as GP does, leaves
     the branch probabilities unchanged by this reordering.
     """
-    return _branches(_noisy(cfg, density_from_pure(_moves(cfg) @ cfg.initial_vector())))
+    return _branches(_noisy(cfg, density_from_pure(_moves(cfg) @ cfg.initial)))
 
 
 def win_probability(rho: np.ndarray) -> float:

@@ -347,6 +347,14 @@ class TestSweep:
         # a caller's tuple of floats is kept, not copied
         assert table.noise_values is noise and table.gamma_values is gamma
 
+    def test_table_is_its_rows(self):
+        table = sweep(5, (0.0, 0.5, 1.0), (0.0, 0.25))
+        assert table.rows is table
+        assert not hasattr(table, "__dict__")
+        for field in dataclasses.fields(table):
+            with pytest.raises(AttributeError):
+                setattr(table, field.name, getattr(table, field.name))
+
     def test_table_memory_per_point(self):
         import tracemalloc
 

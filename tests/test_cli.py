@@ -16,6 +16,7 @@ from qmontyhall.analysis import CASES, NoSignChangeError, PayoffRangeError, swee
 from qmontyhall.channels import STATE_DIM, NoiseSpec
 from qmontyhall.cli import (
     MAX_GRID_POINTS,
+    MAX_INPUT_BYTES,
     _fmt,
     _range_values,
     _write_csv,
@@ -261,6 +262,46 @@ class TestStateFiles:
         path.write_text(json.dumps([[1.0, 0.0]] * 27))
         code, out, err = run_cli(capsys, "payoff", "--state", str(path))
         assert code == 3 and out == "" and "norm" in err
+
+
+PSI1_FILE = [[1.0 / 3.0, 0.0]] * 9 + [[0.0, 0.0]] * 18
+
+
+def _padded(entries, size: int) -> bytes:
+    """Valid JSON of ``entries``, padded with spaces to ``size`` bytes."""
+    text = json.dumps(entries).encode()
+    return b" " * (size - len(text)) + text
+
+
+def _reading(flag: str, path) -> list[str]:
+    """payoff flags that read ``path`` through ``flag``, --state or a strategy flag."""
+    return [flag, str(path)] if flag == "--state" else ["--state", "psi1", flag, str(path)]
+
+
+@pytest.mark.parametrize("flag,valid", [("--state", PSI1_FILE), ("--alice", IDENTITY_FILE)],
+                         ids=["state", "alice"])
+@pytest.mark.parametrize("content", [
+    lambda valid: _padded(valid, MAX_INPUT_BYTES + 1),  # oversize
+    lambda valid: b"[" * 100_000,  # nested deeper than the parser's recursion limit
+    lambda valid: b"\xff" + json.dumps(valid).encode(),  # not UTF-8
+], ids=["oversize", "deep", "not-utf8"])
+def test_unreadable_input_file_exits_2(tmp_path, capsys, flag, valid, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content(valid))
+    code, out, err = run_cli(capsys, "payoff", *_reading(flag, path), "--channel", "gp",
+                             "--noise", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag,valid", [("--state", PSI1_FILE), ("--alice", IDENTITY_FILE)],
+                         ids=["state", "alice"])
+def test_input_file_of_max_size_is_read(tmp_path, capsys, flag, valid):
+    path = tmp_path / "input.json"
+    path.write_bytes(_padded(valid, MAX_INPUT_BYTES))
+    code, out, err = run_cli(capsys, "payoff", *_reading(flag, path), "--channel", "gp",
+                             "--noise", "0")
+    assert (code, err) == (0, "")
 
 
 class TestRangeGrammar:

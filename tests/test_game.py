@@ -139,6 +139,15 @@ class TestInitialStates:
     def test_unknown(self):
         with pytest.raises(ValueError, match="unknown initial state"):
             initial_state("psi3")
+        with pytest.raises(ValueError, match="unknown initial state"):
+            _identity_config("psi3")
+
+    @pytest.mark.parametrize("name", ["psi1", "psi2"])
+    def test_config_holds_the_named_vector(self, name):
+        cfg = _identity_config(name)
+        assert cfg.initial.dtype == complex and cfg.initial.shape == (STATE_DIM,)
+        np.testing.assert_array_equal(cfg.initial, initial_state(name))
+        assert dataclasses.replace(cfg, gamma=0.5).initial is cfg.initial
 
 
 class TestStrategies:
