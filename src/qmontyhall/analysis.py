@@ -131,9 +131,10 @@ def optimal_gamma(c1: float) -> tuple[float, str]:
 
 
 def threshold(case: int, lo: float, hi: float) -> float:
-    """Noise value in [lo, hi] where the optimal classical move flips, by
-    scipy.optimize.bisect's steps to 1e-10 on c1 = (p_switch - p_not_switch)/2;
-    the case is compiled once, as in `verify_case`, and each step applies only the noise."""
+    """Noise value in [lo, hi] where the optimal classical move flips, by scipy.optimize.bisect's
+    steps to 1e-10 on c1 = (p_switch - p_not_switch)/2, the case compiled once.  Each end's
+    move is `optimal_gamma`'s label of its c1, as `payoff` prints: an end where both moves pay
+    the same is a ValueError, and ends of one label are a NoSignChangeError."""
     if not lo < hi:
         raise ValueError(f"bracket [{lo}, {hi}] is empty or runs backwards")
     probabilities = branch_probabilities(case_config(case, 0.0, 0.0))
@@ -142,15 +143,14 @@ def threshold(case: int, lo: float, hi: float) -> float:
         p_switch, p_not_switch = probabilities(x)
         return (p_switch - p_not_switch) / 2.0
     f_lo, f_hi = f(lo), f(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0) == (f_hi > 0):
-        raise NoSignChangeError(
-            f"case {case}: no sign change of the mixing coefficient on "
-            f"[{lo}, {hi}] (c1({lo})={f_lo:.3e}, c1({hi})={f_hi:.3e})"
-        )
+    for end, x, c1 in (("lo", lo, f_lo), ("hi", hi, f_hi)):
+        if optimal_gamma(c1)[1] == "indifferent":
+            raise ValueError(f"case {case}: both moves pay the same at bracket end {end}={x} "
+                             f"(c1={c1:.3e}); a crossover must lie between ends where one "
+                             "move is strictly better")
+    if optimal_gamma(f_lo) == optimal_gamma(f_hi):
+        raise NoSignChangeError(f"case {case}: no sign change of the mixing coefficient on "
+                                f"[{lo}, {hi}] (c1({lo})={f_lo:.3e}, c1({hi})={f_hi:.3e})")
     # as scipy.optimize.bisect; 1100 halvings take any finite bracket below 1e-10
     x, step = lo, hi - lo
     for _ in range(1100):

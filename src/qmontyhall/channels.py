@@ -48,7 +48,7 @@ def check_noise(kind: str, value: float, a1: float = 1.0, a2: float = 1.0) -> No
     are written so NaN fails them too."""
     if kind == "se":
         if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"time t={value} must be non-negative")
+            raise ValueError(f"time t={value} must be finite and non-negative")
         if not (0 < a1 < math.inf and 0 < a2 < math.inf):
             raise ValueError("Einstein coefficients must be positive and finite")
     elif kind == "gp" and not 0.0 <= value <= 1.0:

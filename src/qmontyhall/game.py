@@ -49,7 +49,7 @@ def unitarity_deviation(a: np.ndarray) -> float:
     return float(np.abs(a.conj().T @ a - np.eye(a.shape[1])).max())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StrategyUnitary:
     """A player's move: a 3x3 unitary acting on that player's register."""
 
@@ -141,7 +141,7 @@ def check_state(v) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameConfig:
     """Everything that determines one round: initial state ("psi1", "psi2"
     or a custom normalised 27-dim vector, held as the checked complex

@@ -141,6 +141,8 @@ def _threshold_lines():
         ["threshold", "--case", "6", "--lo", "0.693147", "--hi", "1"],
         ["threshold", "--case", "6", "--lo", "-0.5", "--hi", "0.9"],
         ["threshold", "--case", "0"],
+        ["threshold", "--case", "4", "--lo", "0", "--hi", "3"],
+        ["threshold", "--case", "7", "--lo", "0", "--hi", "0.5"],
     ]
 
 

@@ -187,6 +187,42 @@ class TestThreshold:
         with pytest.raises(NoSignChangeError, match="no sign change"):
             threshold(5, 0.1, 0.9)
 
+    # brackets with one end where both moves pay the same: GP p = 1 (every
+    # strategy pays 1/3) and no noise in cases 4 and 7 (Alice's h)
+    DEGENERATE_ENDS = [(5, 0.01, 1.0, 1.0), (6, 0.01, 1.0, 1.0), (7, 0.01, 1.0, 1.0),
+                       (4, 0.0, 3.0, 0.0), (7, 0.0, 0.5, 0.0)]
+
+    @pytest.mark.parametrize("nudge", [6e-17, 0.0, -6e-17])
+    @pytest.mark.parametrize("case,lo,hi,end", DEGENERATE_ENDS)
+    def test_indifferent_end_is_refused(self, monkeypatch, case, lo, hi, end, nudge):
+        # the outcome may not hang on the last bit of c1 at the degenerate
+        # end, so c1 there is moved by about one rounding error either way
+        assert optimal_gamma(per_play_c1(case, end))[1] == "indifferent"
+        original = analysis.branch_probabilities
+        c1_at_end = []
+
+        def nudged(cfg):
+            probabilities = original(cfg)
+
+            def shifted(x):
+                p_switch, p_not_switch = probabilities(x)
+                if x == end:
+                    c1_at_end.append((p_switch - p_not_switch) / 2)
+                    p_switch += 2 * nudge
+                    c1_at_end.append((p_switch - p_not_switch) / 2)
+                return p_switch, p_not_switch
+            return shifted
+
+        monkeypatch.setattr(analysis, "branch_probabilities", nudged)
+        with pytest.raises(ValueError, match="both moves pay the same at bracket end "
+                                             f"(lo|hi)={end}") as info:
+            threshold(case, lo, hi)
+        assert not isinstance(info.value, NoSignChangeError)
+        # the nudge moved c1 its own way, by no more than a rounding error
+        before, after = c1_at_end
+        assert np.sign(after - before) == np.sign(nudge)
+        assert abs(after - before) < 1e-16
+
     @pytest.mark.parametrize("lo,hi", [(3.0, 0.01), (0.5, 0.5), (math.nan, 1.0)])
     def test_empty_or_reversed_bracket(self, lo, hi):
         with pytest.raises(ValueError, match="empty or runs backwards") as info:

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_density
+from conftest import haar_unitary, random_density
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from kraus import (
     CLOCK,
     SHIFT,
@@ -16,6 +18,7 @@ from kraus import (
     validate_cptp,
 )
 from linalg import basis_ket, density_from_pure, is_density_matrix
+from scipy.linalg import expm
 
 from qmontyhall.channels import (
     STRUCTURAL_TOL,
@@ -67,6 +70,8 @@ class TestSpontaneousEmission:
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="non-negative"):
             se_single(-0.1)
+        with pytest.raises(ValueError, match="finite"):
+            se_single(math.inf)
         with pytest.raises(ValueError, match="positive"):
             se_single(1.0, a1=0.0)
         with pytest.raises(ValueError, match="positive"):
@@ -224,6 +229,64 @@ class TestClosedForms:
         for p in np.linspace(0.0, 1.0, 101):
             np.testing.assert_allclose(gp_single(p), superoperator(gp_kraus(p)),
                                        rtol=0, atol=1e-15)
+
+
+def _matrix(s: np.ndarray) -> np.ndarray:
+    """S[a, c, b, d] as the 9x9 matrix that acts on row-major vec(rho)."""
+    return s.reshape(9, 9)
+
+
+def _sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """rho -> a rho b on row-major vec(rho): a (x) b^T."""
+    return np.kron(a, b.T)
+
+
+def _decay_generator(a1: float, a2: float) -> np.ndarray:
+    """Lindbladian of V-type decay, jump operators sqrt(a1)|0><1| and
+    sqrt(a2)|0><2| and no Hamiltonian: L(rho) = sum J rho J† - {J†J, rho}/2
+    (Lindblad 1976; Gorini, Kossakowski & Sudarshan 1976)."""
+    eye = np.eye(3)
+    generator = np.zeros((9, 9), dtype=complex)
+    for rate, level in ((a1, 1), (a2, 2)):
+        jump = np.zeros((3, 3))
+        jump[0, level] = math.sqrt(rate)
+        decay = jump.conj().T @ jump
+        generator += _sandwich(jump, jump.conj().T)
+        generator -= (_sandwich(decay, eye) + _sandwich(eye, decay)) / 2
+    return generator
+
+
+class TestGenerators:
+    """The closed forms against the dynamics they stand for, not the Kraus lists."""
+
+    @pytest.mark.parametrize("a1,a2", [(1.0, 1.0), (0.4, 2.5), (3.0, 0.2)])
+    def test_emission_is_the_decay_semigroup(self, a1, a2):
+        generator = _decay_generator(a1, a2)
+        for t in np.linspace(0.0, 9.0, 37):
+            np.testing.assert_allclose(_matrix(se_single(t, a1, a2)), expm(t * generator),
+                                       rtol=0, atol=1e-14)
+
+    @settings(max_examples=50, derandomize=True, database=None, deadline=None)
+    @given(t=st.floats(0.0, 20.0), s=st.floats(0.0, 20.0),
+           a1=st.floats(0.05, 5.0), a2=st.floats(0.05, 5.0))
+    def test_emission_times_add(self, t, s, a1, a2):
+        np.testing.assert_allclose(_matrix(se_single(t, a1, a2)) @ _matrix(se_single(s, a1, a2)),
+                                   _matrix(se_single(t + s, a1, a2)), rtol=0, atol=1e-14)
+
+    @settings(max_examples=50, derandomize=True, database=None, deadline=None)
+    @given(p=st.floats(0.0, 1.0), q=st.floats(0.0, 1.0))
+    def test_pauli_survivals_multiply(self, p, q):
+        # the unchanged share 1 - p is what composes: (1 - p)(1 - q) = 1 - (p + q - pq)
+        np.testing.assert_allclose(_matrix(gp_single(p)) @ _matrix(gp_single(q)),
+                                   _matrix(gp_single(p + q - p * q)), rtol=0, atol=1e-14)
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_pauli_commutes_with_every_unitary(self, p, seed):
+        u = haar_unitary(np.random.default_rng(seed), 3)
+        conjugation = _sandwich(u, u.conj().T)
+        noise = _matrix(gp_single(p))
+        np.testing.assert_allclose(noise @ conjugation, conjugation @ noise, rtol=0, atol=1e-14)
 
 
 class TestChannelChecks:

@@ -11,6 +11,7 @@ from kraus import SHIFT
 from linalg import basis_ket, trace
 from reference import evolve, open_operator, switch_operator, win_projector
 
+from qmontyhall.analysis import case_config
 from qmontyhall.channels import STATE_DIM, NoiseSpec
 from qmontyhall.game import (
     WIN_STAY,
@@ -406,3 +407,14 @@ class TestGameConfig:
     def test_custom_state_accepted(self):
         cfg = _identity_config(initial_state("psi2").copy())
         assert play(cfg).p_not_switch == pytest.approx(1.0, abs=1e-12)
+
+    def test_equality_is_identity(self):
+        # the ndarray fields have no one truth value, so values compare by identity
+        cfg = case_config(1, 0.5, 0.0)
+        assert (cfg == case_config(1, 0.5, 0.0)) is False
+        assert (cfg == cfg) is True
+        assert hash(cfg) == hash(cfg)
+        move = StrategyUnitary(np.eye(3), name="id")
+        assert (move == StrategyUnitary(np.eye(3), name="id")) is False
+        assert (move == move) is True
+        assert hash(move) == hash(move)
