@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import pairwise
 from typing import Callable
@@ -164,13 +163,13 @@ def threshold(case: int, lo: float, hi: float) -> float:
     return mid
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class SweepTable(Sequence):
+@dataclass(frozen=True, slots=True, eq=False)
+class SweepTable:
     """Payoffs on a (noise, gamma) grid: one float64 per point, noise-major.
 
-    The table is the sequence of its (noise, gamma, payoff) triples, made as
-    they are read; it compares, hashes and prints as the tuple of tuples it
-    stands for."""
+    Iterating the table yields its (noise, gamma, payoff) triples, made as
+    they are read.  Tables compare by identity; the repr shows every payoff
+    to the last bit."""
 
     noise_values: tuple[float, ...]
     gamma_values: tuple[float, ...]
@@ -193,27 +192,9 @@ class SweepTable(Sequence):
     def __len__(self) -> int:
         return len(self.payoffs)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(*index.indices(len(self)))))
-        payoff = self.payoffs[index]  # IndexError, or a negative index, as a tuple's
-        x, g = divmod(index % len(self), len(self.gamma_values))
-        return self.noise_values[x], self.gamma_values[g], payoff
-
     def __iter__(self):
         payoffs = iter(self.payoffs)
         return ((x, g, next(payoffs)) for x in self.noise_values for g in self.gamma_values)
-
-    def __eq__(self, other):
-        if isinstance(other, (SweepTable, tuple)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
 
 
 def _check_grid(values, name: str) -> tuple[float, ...]:

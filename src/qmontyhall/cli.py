@@ -7,9 +7,10 @@ complete positivity of a noise channel's superoperator).  --a1/--a2 set
 SE noise only and are refused with any other channel.
 
 Exit codes: 0 success, 1 verification/validation failure, 2 bad flags or
-range, grid over MAX_GRID_POINTS, input file over MAX_INPUT_BYTES or
-unparseable (not UTF-8 JSON, or nested too deep), unwritable --out
-or stdout closed before the output was written, 3 non-unitary strategy (or
+range, grid over MAX_GRID_POINTS, input file over MAX_INPUT_BYTES,
+unparseable (not UTF-8 JSON, or nested too deep) or holding an entry that
+is not a finite JSON number, unwritable --out, or (under ``__main__``) stdout
+closed or missing before the output was written, 3 non-unitary strategy (or
 non-normalised state) file, 4 parameter outside its domain, 5 no strategy
 crossover in range; the error's type picks every code (_EXIT_CODES), and a
 closed stderr keeps it.  Diagnostics go to stderr; stdout holds only output.
@@ -158,12 +159,6 @@ def _grid_values(args) -> list[tuple[float, ...] | None]:
     return [_range_values(r) if r else None for r in ranges]
 
 
-def parse_strategy_file(path: str) -> StrategyUnitary:
-    """Load a 3x3 strategy, unitary within 1e-9, from a JSON array of 3 rows,
-    each 3 two-number [re, im] arrays."""
-    return _complex_array_from_file(path, (3, 3), lambda m: StrategyUnitary(m, name=path))
-
-
 def _complex_array_from_file(path: str, shape: tuple[int, ...],
                              check: Callable[[np.ndarray], T]) -> T:
     """``check`` of the file's [re, im] pairs of ``shape``; a ValueError is NotUnitaryError."""
@@ -175,15 +170,15 @@ def _complex_array_from_file(path: str, shape: tuple[int, ...],
     if len(raw) > MAX_INPUT_BYTES:
         raise UsageError(f"{path}: longer than {MAX_INPUT_BYTES} bytes")
     try:
-        data = json.loads(raw.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
+        # every JSON number becomes a float; an integer too long for one is inf
+        arr = np.array(json.loads(raw.decode("utf-8"), parse_int=float), dtype=object)
+    except (ValueError, RecursionError) as err:
         raise UsageError(f"{path}: invalid JSON: {err}") from None
-    try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError):
-        raise UsageError(f"{path}: expected nested arrays of numbers") from None
     if arr.shape != shape + (2,):
         raise UsageError(f"{path}: expected shape {shape} of [re, im] pairs, got {arr.shape}")
+    if not all(type(v) is float for v in arr.flat):
+        raise UsageError(f"{path}: an entry is not a number")
+    arr = arr.astype(float)
     if not np.isfinite(arr).all():
         raise UsageError(f"{path}: entries must be finite")
     try:
@@ -193,10 +188,11 @@ def _complex_array_from_file(path: str, shape: tuple[int, ...],
 
 
 def _resolve_strategy(token: str) -> StrategyUnitary:
-    """A built-in move by name, else a strategy file (a name wins over a file)."""
+    """A built-in move by name, else a strategy file: a JSON array of 3 rows, each 3
+    two-number [re, im] arrays, unitary within 1e-9 (a name wins over a file)."""
     if token.lower() in game.STRATEGY_NAMES:
         return builtin_strategy(token)
-    return parse_strategy_file(token)
+    return _complex_array_from_file(token, (3, 3), lambda m: StrategyUnitary(m, name=token))
 
 
 def _einstein_coefficients(args) -> tuple[float, float]:

@@ -19,9 +19,9 @@ from qmontyhall.cli import (
     MAX_INPUT_BYTES,
     _fmt,
     _range_values,
+    _resolve_strategy,
     _write_csv,
     main,
-    parse_strategy_file,
 )
 from qmontyhall.game import GameConfig, StrategyUnitary, builtin_strategy
 
@@ -210,7 +210,7 @@ class TestStrategyFiles:
     def test_shuffle_file_matches_builtin(self, tmp_path):
         path = tmp_path / "m2.json"
         path.write_text(json.dumps(M2_FILE))
-        loaded = parse_strategy_file(str(path))
+        loaded = _resolve_strategy(str(path))
         np.testing.assert_array_equal(loaded.matrix, builtin_strategy("m2").matrix)
 
     def test_non_unitary_file(self, tmp_path, capsys):
@@ -273,6 +273,11 @@ def _padded(entries, size: int) -> bytes:
     return b" " * (size - len(text)) + text
 
 
+def _first_number(entries, literal: bytes) -> bytes:
+    """JSON of ``entries`` with its first number written as ``literal``."""
+    return re.sub(rb"[\d.]+", literal, json.dumps(entries).encode(), count=1)
+
+
 def _reading(flag: str, path) -> list[str]:
     """payoff flags that read ``path`` through ``flag``, --state or a strategy flag."""
     return [flag, str(path)] if flag == "--state" else ["--state", "psi1", flag, str(path)]
@@ -284,7 +289,15 @@ def _reading(flag: str, path) -> list[str]:
     lambda valid: _padded(valid, MAX_INPUT_BYTES + 1),  # oversize
     lambda valid: b"[" * 100_000,  # nested deeper than the parser's recursion limit
     lambda valid: b"\xff" + json.dumps(valid).encode(),  # not UTF-8
-], ids=["oversize", "deep", "not-utf8"])
+    # integers no float holds: 401 digits, and past json's 4300-digit str-to-int limit
+    lambda valid: _first_number(valid, b"1" + b"0" * 400),
+    lambda valid: _first_number(valid, b"1" + b"0" * 5000),
+    # JSON values that are not numbers, though numpy would convert them
+    lambda valid: _first_number(valid, b'"1"'),
+    lambda valid: _first_number(valid, b"true"),
+    lambda valid: _first_number(valid, b"null"),
+], ids=["oversize", "deep", "not-utf8", "int-401-digits", "int-5001-digits", "string",
+        "boolean", "null"])
 def test_unreadable_input_file_exits_2(tmp_path, capsys, flag, valid, content):
     path = tmp_path / "input.json"
     path.write_bytes(content(valid))
@@ -621,6 +634,27 @@ class TestEntryPoint:
         result = subprocess.run(["sh", "-c", '"$@" 2>&-', "sh", *command["args"]],
                                 env=command["env"], stdout=subprocess.PIPE, timeout=60)
         assert (result.returncode, result.stdout) == (code, b"")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["payoff", "--case", "1", "--noise", "0"], 2),
+        (["sweep", "--case", "1", "--noise-range", "0:1:0.5", "--gamma-range", "0:1:0.5"], 2),
+        (["verify", "--case", "1"], 2),
+        (["payoff", "--case", "9", "--noise", "0"], 4),
+        (["sweep", "--case", "1", "--noise-range", "0:1:0.5", "--gamma-range", "0:1:0.5",
+          "--out", "out.csv"], 0),
+    ], ids=["payoff", "sweep", "verify", "unknown-case", "sweep-out"])
+    def test_absent_stdout_keeps_the_exit_code(self, tmp_path, argv, code):
+        # started without descriptor 1: output is refused as by a closed pipe,
+        # and a command that writes none to stdout keeps its own code
+        command = _module_command(*argv)
+        result = subprocess.run(["sh", "-c", '"$@" >&-', "sh", *command["args"]],
+                                env=command["env"], stderr=subprocess.PIPE, cwd=tmp_path,
+                                timeout=60)
+        assert result.returncode == code
+        assert b"Traceback" not in result.stderr
+        if "--out" in argv:
+            lines = (tmp_path / "out.csv").read_text().splitlines()
+            assert lines[0] == "noise,gamma,payoff" and len(lines) == 10
 
     def test_absent_stderr_keeps_the_exit_code_in_process(self, capsys, monkeypatch):
         # sys.stderr is None in a process started without descriptor 2
