@@ -218,9 +218,10 @@ def sweep(
     noise_values,
     gamma_values,
 ) -> SweepTable:
-    """Evaluate a case (by id), a configuration (its noise family and
-    Einstein coefficients span the noise axis; its own noise value and gamma
-    are not used) or an arbitrary payoff(noise, gamma) callable over the grid.
+    """Evaluate an arbitrary payoff(noise, gamma) callable, a configuration
+    (its noise family and Einstein coefficients span the noise axis; its own
+    noise value and gamma are not used) or else a case id, any integer
+    `case_spec` accepts, over the grid.
 
     A case or configuration has every axis value checked before anything is
     evaluated, is compiled once and simulated once per noise value; gamma
@@ -230,11 +231,11 @@ def sweep(
     """
     noise_values = _check_grid(noise_values, "noise")
     gamma_values = _check_grid(gamma_values, "gamma")
-    if isinstance(target, int):
-        target = case_config(target, 0.0, 0.0)
-    if not isinstance(target, GameConfig):
+    if callable(target):
         payoffs = array("d", (target(x, g) for x in noise_values for g in gamma_values))
         return SweepTable(noise_values, gamma_values, payoffs)
+    if not isinstance(target, GameConfig):
+        target = case_config(target, 0.0, 0.0)
     noise = target.noise
     if noise.kind == "none":
         raise ValueError("a noise axis needs noise of kind 'se' or 'gp'")

@@ -81,8 +81,7 @@ class NoiseSpec:
         return self.t if self.kind == "se" else self.p
 
     @classmethod
-    def of(cls, kind: str, value: float | None = None,
-           a1: float = 1.0, a2: float = 1.0) -> "NoiseSpec":
+    def of(cls, kind: str, value: float, a1: float = 1.0, a2: float = 1.0) -> "NoiseSpec":
         """Family ``kind`` at noise ``value``: the time t for "se", the error
         probability p for "gp"; "none" ignores it, "gp" ignores a1 and a2."""
         if kind == "se":

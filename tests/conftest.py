@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import os
+import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -18,6 +21,23 @@ from qmontyhall.game import (
 )
 
 SEED = 20260810
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def child_command(*args: str, **env: str) -> dict:
+    """Popen arguments for a fresh ``python args`` on this checkout.
+
+    ``src`` comes first on PYTHONPATH.  OPENBLAS_NUM_THREADS and
+    PYTHONUNBUFFERED are dropped, so the child starts as a user's process
+    does, with the entry point's thread default and stdout block-buffered
+    into a pipe; ``env`` sets variables for this call only.
+    """
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "PYTHONUNBUFFERED")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, base.get("PYTHONPATH")]))
+    return {"args": [sys.executable, *args], "env": {**base, **env}}
+
 
 # Where `gamma_coefficients` re-checks its fit, and the residual it allows.
 FIT_CHECK_GAMMA = 1.0

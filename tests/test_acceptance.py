@@ -5,10 +5,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 import math
 import subprocess
-import sys
 
 import numpy as np
 from conftest import (
+    child_command,
     classical_reference,
     closed_form_payoff,
     random_config,
@@ -237,19 +237,17 @@ def test_criterion_7_strategy_degeneracies():
 
 def test_criterion_8_cli_determinism():
     failures = []
-    sweep_args = [sys.executable, "-m", "qmontyhall", "sweep", "--case", "1",
-                  "--noise-range", "0:3:0.25", "--gamma-range", "0:1.5:0.25"]
-    first = subprocess.run(sweep_args, capture_output=True)
-    second = subprocess.run(sweep_args, capture_output=True)
+    sweep = child_command("-m", "qmontyhall", "sweep", "--case", "1",
+                          "--noise-range", "0:3:0.25", "--gamma-range", "0:1.5:0.25")
+    first = subprocess.run(capture_output=True, **sweep)
+    second = subprocess.run(capture_output=True, **sweep)
     if first.returncode != 0 or second.returncode != 0:
         failures.append("sweep did not exit 0")
     if first.stdout != second.stdout:
         failures.append("repeated sweep output is not byte-identical")
 
-    verify = subprocess.run(
-        [sys.executable, "-m", "qmontyhall", "verify", "--case", "all"],
-        capture_output=True, text=True,
-    )
+    verify = subprocess.run(capture_output=True, text=True,
+                            **child_command("-m", "qmontyhall", "verify", "--case", "all"))
     if verify.returncode != 0:
         failures.append(f"verify --case all exited {verify.returncode}")
     if sum(line.endswith(" pass") for line in verify.stdout.splitlines()) != 7:

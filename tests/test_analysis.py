@@ -456,6 +456,23 @@ class TestSweep:
                 sweep(lambda x, g: bad, [0.0], [0.0])
 
 
+@pytest.mark.parametrize("run", [
+    lambda case: list(sweep(case, [0.0, 0.5], [0.0, 0.2])),
+    lambda case: verify_case(case),
+    lambda case: threshold(case, 0.01, 3.0),
+], ids=["sweep", "verify_case", "threshold"])
+class TestCaseIds:
+    # a case id is any integer case_spec accepts, whatever its type; any other
+    # target that is neither a configuration nor a callable is not a case
+    def test_numpy_integer(self, run):
+        assert run(np.int64(1)) == run(1)
+
+    @pytest.mark.parametrize("case", [1.5, "x"])
+    def test_not_a_case(self, run, case):
+        with pytest.raises(ValueError, match="out of range"):
+            run(case)
+
+
 class TestVerifyCase:
     @pytest.mark.parametrize("case", [1, 6])
     def test_passes_on_default_grid(self, case):

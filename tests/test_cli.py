@@ -3,15 +3,15 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import haar_unitary, random_state
+from conftest import child_command, haar_unitary, random_state
 
-import qmontyhall
 from qmontyhall.analysis import CASES, NoSignChangeError, PayoffRangeError, sweep
 from qmontyhall.channels import STATE_DIM, NoiseSpec
 from qmontyhall.cli import (
@@ -585,23 +585,14 @@ class TestValidateChannel:
         assert code == 4 and out == "" and "finite" in err
 
 
-def _module_command(*argv):
-    """Popen arguments running ``python -m qmontyhall argv`` on this checkout,
-    with stdout block-buffered as a pipe is by default."""
-    src = str(Path(qmontyhall.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return {"args": [sys.executable, "-m", "qmontyhall", *argv], "env": env}
-
-
 class TestEntryPoint:
     def test_stdout_closed_mid_output(self):
         # some 4.5 MB of CSV: the reader takes one line and leaves, so a later
         # write fails with EPIPE
         proc = subprocess.Popen(stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                **_module_command("sweep", "--case", "6",
-                                                  "--noise-range", "0:1:0.001",
-                                                  "--gamma-range", "0:1.5:0.01"))
+                                **child_command("-m", "qmontyhall", "sweep", "--case", "6",
+                                                "--noise-range", "0:1:0.001",
+                                                "--gamma-range", "0:1.5:0.01"))
         assert proc.stdout.readline() == b"noise,gamma,payoff\n"
         proc.stdout.close()
         err = proc.stderr.read()
@@ -614,7 +605,8 @@ class TestEntryPoint:
         os.close(read_end)
         try:
             result = subprocess.run(stdout=write_end, stderr=subprocess.PIPE, timeout=60,
-                                    **_module_command("payoff", "--case", "1", "--noise", "0"))
+                                    **child_command("-m", "qmontyhall", "payoff", "--case", "1",
+                                                    "--noise", "0"))
         finally:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (2, b"")
@@ -630,7 +622,7 @@ class TestEntryPoint:
     def test_stderr_closed_keeps_the_exit_code(self, argv, code):
         # the error line cannot be written: the code must not become 1, and
         # neither it nor argparse's usage line may go to stdout instead
-        command = _module_command(*argv)
+        command = child_command("-m", "qmontyhall", *argv)
         result = subprocess.run(["sh", "-c", '"$@" 2>&-', "sh", *command["args"]],
                                 env=command["env"], stdout=subprocess.PIPE, timeout=60)
         assert (result.returncode, result.stdout) == (code, b"")
@@ -646,7 +638,7 @@ class TestEntryPoint:
     def test_absent_stdout_keeps_the_exit_code(self, tmp_path, argv, code):
         # started without descriptor 1: output is refused as by a closed pipe,
         # and a command that writes none to stdout keeps its own code
-        command = _module_command(*argv)
+        command = child_command("-m", "qmontyhall", *argv)
         result = subprocess.run(["sh", "-c", '"$@" >&-', "sh", *command["args"]],
                                 env=command["env"], stderr=subprocess.PIPE, cwd=tmp_path,
                                 timeout=60)
@@ -656,17 +648,29 @@ class TestEntryPoint:
             lines = (tmp_path / "out.csv").read_text().splitlines()
             assert lines[0] == "noise,gamma,payoff" and len(lines) == 10
 
+    def test_endless_input_file_under_a_memory_cap_exits_2(self):
+        # the read stops at its bound, so a child whose address space is
+        # capped at 2 GiB refuses /dev/zero as an input file without running
+        # out of memory
+        cap = 2 * 1024 ** 3
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        result = subprocess.run(capture_output=True, timeout=60, preexec_fn=limit_address_space,
+                                **child_command("-m", "qmontyhall", "payoff", "--state",
+                                                "/dev/zero", "--channel", "gp", "--noise", "0"))
+        assert (result.returncode, result.stdout) == (2, b""), result.stderr
+
     def test_absent_stderr_keeps_the_exit_code_in_process(self, capsys, monkeypatch):
         # sys.stderr is None in a process started without descriptor 2
         monkeypatch.setattr(sys, "stderr", None)
         assert run_cli(capsys, "payoff", "--case", "9", "--noise", "0")[:2] == (4, "")
 
     def test_module_invocation(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "qmontyhall", "payoff", "--case", "1",
-             "--noise", "0", "--gamma", "0"],
-            capture_output=True, text=True,
-        )
+        result = subprocess.run(capture_output=True, text=True,
+                                **child_command("-m", "qmontyhall", "payoff", "--case", "1",
+                                                "--noise", "0", "--gamma", "0"))
         assert result.returncode == 0
         assert json.loads(result.stdout)["payoff"] == 0.666666666667
 
@@ -675,7 +679,7 @@ class TestEntryPoint:
         # fractions only served a reference that tests use
         probe = ("import sys, qmontyhall.cli; "
                  "print([m for m in ('scipy', 'fractions') if m in sys.modules])")
-        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        result = subprocess.run(capture_output=True, text=True, **child_command("-c", probe))
         assert result.returncode == 0 and result.stdout.strip() == "[]", result.stderr
         tomllib = pytest.importorskip("tomllib")
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -7,12 +7,11 @@ package root re-exports none of them: each has one import path, its module.
 
 import dataclasses
 import inspect
-import os
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+from conftest import child_command
 
 from qmontyhall import analysis, channels, cli, game
 
@@ -46,9 +45,7 @@ def test_benchmark_driven_names_keep_their_signatures():
 def _fresh(probe: str, **env: str) -> str:
     """stdout of `probe` in a fresh interpreter, OPENBLAS_NUM_THREADS unset
     unless given."""
-    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                            env={**base, **env})
+    result = subprocess.run(capture_output=True, text=True, **child_command("-c", probe, **env))
     assert result.returncode == 0, result.stderr
     return result.stdout
 

@@ -2,15 +2,11 @@
 same exit code and byte-identical stdout (see tests/golden/make_corpus.py)."""
 
 import json
-import os
 import subprocess
-import sys
-from pathlib import Path
 
 import pytest
+from conftest import child_command
 from golden.make_corpus import CORPUS, HERE, run
-
-import qmontyhall
 
 COMMANDS = ["payoff", "sweep", "verify", "threshold", "validate-channel"]
 
@@ -46,14 +42,11 @@ def test_entry_point_matches_corpus_sample():
             sample.setdefault(kind, record)
     assert {("command", c) for c in COMMANDS} | {("exit", 2), ("exit", 5), ("reads a file",)} \
         <= set(sample)
-    src = str(Path(qmontyhall.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     changed = []
     for argv, (code, out) in {tuple(r["argv"]): (r["exit"], r["stdout"])
                             for r in sample.values()}.items():
-        result = subprocess.run([sys.executable, "-m", "qmontyhall", *argv], cwd=HERE, env=env,
-                                capture_output=True, timeout=60)
+        result = subprocess.run(cwd=HERE, capture_output=True, timeout=60,
+                                **child_command("-m", "qmontyhall", *argv))
         if (result.returncode, result.stdout) != (code, out.encode()):
             changed.append((" ".join(argv), code, result.returncode, out, result.stdout))
     assert not changed, changed
